@@ -17,8 +17,8 @@ module Json = Sof_util.Json
 module H = Sof_harness
 
 (* Set-up takes tens of microseconds (SC) to milliseconds (durable BFT), and
-   this host runs it up to twice as fast or slow from one second to the
-   next.  So builds are timed in rounds of at least [setup_round_s], each
+   a shared machine can run it up to twice as fast or slow from one second
+   to the next.  So builds are timed in rounds of at least [setup_round_s], each
    round reporting its mean build time; a few rounds follow every
    repetition, so the rounds sample the whole run, and setup_s is their
    median.  None run before the first repetition, whose heap figure must
@@ -27,6 +27,9 @@ let setup_round_s = 0.02
 let setup_rounds_per_rep = 3
 
 let setup_round spec =
+  (* Start from a compacted heap, so the round does not pay for collecting
+     the episode or the round before it. *)
+  Gc.compact ();
   let t0 = Metric.now_ns () in
   let rec go builds =
     ignore (H.Cluster.build spec);

@@ -50,7 +50,8 @@ def build():
     tmp = os.path.join(OUT, "tmp")
     os.makedirs(tmp, exist_ok=True)
     env = dict(os.environ, DUNE_CACHE="disabled", TMPDIR=tmp)
-    cmd = ["dune", "build", "--root", ROOT, "--display", "quiet", "./perfbench/bench.exe"]
+    cmd = ["dune", "build", "--root", ROOT, "--profile", "bench", "--display", "quiet",
+           "./perfbench/bench.exe"]
     try:
         r = subprocess.run(cmd, cwd=ROOT, env=env, stdout=sys.stderr, stderr=sys.stderr,
                            timeout=850)

@@ -3,18 +3,16 @@
 against its bound.
 
     python3 perfbench/steady.py [--workloads a,b] [--runs 10] [--seconds S]
-                                [--sets 1|2] [--same-seeds]
 
 For every workload it makes --runs untraced runs per set, each with another
-seed (set A seeds 1..R, set B seeds R+1..2R, or the same seeds again with
---same-seeds), through perfbench/run.py.  For each end-to-end metric it
-reports, per set, the median and the spread: the distance between the first
-and third quartile (statistics.quantiles, n=4) as a share of the median.  A
-metric passes when both spreads stay within its bound (setup_s excepted) and
-set B's median is not worse than set A's by more than the bound.  With
---sets 1 only set A runs and only its spread is checked.  "tight"
-marks a spread below a third of its bound.  The summary is also written to
-.bench_out/steady.json.  Exit status 1 when any check fails.
+seed (set A seeds 1..R, set B seeds R+1..2R), through perfbench/run.py; set B
+starts when set A has finished every workload.  For each end-to-end metric
+it reports, per set, the median and the spread: the distance between the
+first and third quartile (statistics.quantiles, n=4) as a share of the
+median.  A metric passes when both spreads stay within its bound and set B's
+median is not worse than set A's by more than the bound.  "tight" marks a
+spread below a third of its bound in both sets.  The summary is also written
+to .bench_out/steady.json.  Exit status 1 when any check fails.
 """
 
 import argparse
@@ -51,16 +49,14 @@ def main():
     ap.add_argument("--workloads", default=",".join(w["name"] for w in spec["workloads"]))
     ap.add_argument("--runs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=spec["run_seconds"])
-    ap.add_argument("--sets", type=int, choices=(1, 2), default=2)
-    ap.add_argument("--same-seeds", action="store_true")
     args = ap.parse_args()
     workloads = args.workloads.split(",")
 
     values = {}  # (set, workload, metric) -> [values]
-    for s in range(args.sets):
+    for s in range(2):
         for w in workloads:
             for i in range(args.runs):
-                seed = 1 + i + (0 if args.same_seeds else s * args.runs)
+                seed = 1 + i + s * args.runs
                 for name, m in run_once(w, seed, args.seconds).items():
                     values.setdefault((s, w, name), []).append(m["value"])
                 print("set %s %s seed %d done" % ("AB"[s], w, seed), file=sys.stderr)
@@ -74,14 +70,11 @@ def main():
         for m in spec["end_to_end"]:
             name, bound = m["name"], m["bound"]
             med_a, sp_a = spread(values[(0, w, name)])
-            med_b, sp_b = spread(values[(args.sets - 1, w, name)])
+            med_b, sp_b = spread(values[(1, w, name)])
             drift = (med_b - med_a) / med_a if med_a else float("inf")
             worse = drift if m["better"] == "lower" else -drift
-            checks = [worse <= bound]
-            if name != "setup_s":
-                checks += [sp_a <= bound, sp_b <= bound]
-            passed = all(checks)
-            tight = name == "setup_s" or max(sp_a, sp_b) < bound / 3
+            passed = worse <= bound and sp_a <= bound and sp_b <= bound
+            tight = max(sp_a, sp_b) < bound / 3
             ok = ok and passed
             verdict = ("ok" if passed else "FAIL") + (" tight" if tight else "")
             print("%-12s %-22s %7.3f %12.5g %7.3f %12.5g %7.3f %+7.3f  %s" % (
@@ -90,7 +83,7 @@ def main():
                            "median_a": med_a, "spread_a": sp_a, "median_b": med_b,
                            "spread_b": sp_b, "drift": drift, "pass": passed,
                            "tight": tight, "values_a": values[(0, w, name)],
-                           "values_b": values[(args.sets - 1, w, name)]})
+                           "values_b": values[(1, w, name)]})
     os.makedirs(os.path.join(ROOT, ".bench_out"), exist_ok=True)
     with open(os.path.join(ROOT, ".bench_out", "steady.json"), "w") as f:
         json.dump(report, f, indent=1)

@@ -385,10 +385,12 @@ type step = {
   rp : replay;
   apply_count : int;
   apply_ns : int;
-  explained_ns : float;
-      (** Host time the replays attribute to the layers, scaled to the
+  layer_ns : (string * float) list;
+      (** Host time the replays attribute to each layer, scaled to the
           cluster's exact operation counts where the replay's differ. *)
 }
+
+let explained_ns s = List.fold_left (fun acc (_, ns) -> acc +. ns) 0.0 s.layer_ns
 
 (* The first step in full, for the counts and the span file. *)
 type first = {
@@ -398,6 +400,10 @@ type first = {
   outcome : Outcome.t;
   sim_start : int;
 }
+
+(* The layers whose host time the traced run attributes, by metric prefix;
+   [core.batch_select] is the core's batch selection alone. *)
+let share_layers = [ "codec"; "crypto"; "storage"; "core.batch_select"; "smr" ]
 
 let summarize (untraced : Load.rep) (traced : Load.rep) cap rp =
   let apply_count = List.length cap.applies in
@@ -416,13 +422,18 @@ let summarize (untraced : Load.rep) (traced : Load.rep) cap rp =
     rp;
     apply_count;
     apply_ns;
-    explained_ns =
-      float_of_int (rp.decode_ns + rp.encode_ns + rp.select_ns + apply_ns)
-      +. scaled rp.sign_ns rp.signs cc.H.Trace.signs
-      +. scaled rp.verify_ns rp.verifies cc.H.Trace.verifies
-      +. scaled rp.append_ns rp.appends (sg (fun x -> x.H.Metrics.st_appends))
-      +. scaled rp.sync_ns rp.appends (sg (fun x -> x.H.Metrics.st_syncs))
-      +. scaled rp.replay_ns rp.replayed (sg (fun x -> x.H.Metrics.st_replayed_entries));
+    layer_ns =
+      List.combine share_layers
+        [
+          float_of_int (rp.decode_ns + rp.encode_ns);
+          scaled rp.sign_ns rp.signs cc.H.Trace.signs
+          +. scaled rp.verify_ns rp.verifies cc.H.Trace.verifies;
+          scaled rp.append_ns rp.appends (sg (fun x -> x.H.Metrics.st_appends))
+          +. scaled rp.sync_ns rp.appends (sg (fun x -> x.H.Metrics.st_syncs))
+          +. scaled rp.replay_ns rp.replayed (sg (fun x -> x.H.Metrics.st_replayed_entries));
+          float_of_int rp.select_ns;
+          float_of_int apply_ns;
+        ];
   }
 
 let phase_names = [ "endorse"; "order"; "ack"; "pre_prepare"; "prepare"; "commit" ]
@@ -536,7 +547,7 @@ let layer_metrics (w : Load.t) (first : first) (steps : step list) =
         (Option.value o.Outcome.order.H.Metrics.failover_ms ~default:0.0)
         ~note:"first fail-signal to first install; 0 without a fault";
       m "core.self_host_s" "s"
-        (med (fun s -> s.traced_wall_s -. (s.explained_ns /. 1e9)))
+        (med (fun s -> s.traced_wall_s -. (explained_ns s /. 1e9)))
         ~samples:steps_n ~note:"residual: traced wall time minus the replayed layers' time";
       m "storage.appends" "count" (float_of_int (st (fun s -> s.H.Metrics.st_appends)));
       m "storage.syncs" "count" (float_of_int (st (fun s -> s.H.Metrics.st_syncs)));
@@ -566,6 +577,19 @@ let layer_metrics (w : Load.t) (first : first) (steps : step list) =
       m "harness.tracing_overhead_s" "s"
         (med (fun s -> s.traced_wall_s -. s.untraced_wall_s))
         ~samples:steps_n ~note:"traced minus untraced wall time of the same episode";
+    ]
+  (* Where the traced wall time goes: each replayed layer's share, and the
+     residual the replays leave to the core, engine and network. *)
+  @ List.map
+      (fun layer ->
+        m (layer ^ ".host_share") "frac"
+          (med (fun s -> List.assoc layer s.layer_ns /. 1e9 /. s.traced_wall_s))
+          ~samples:steps_n ~note:"share of the traced wall time")
+      share_layers
+  @ [
+      m "core.self_host_share" "frac"
+        (med (fun s -> 1.0 -. (explained_ns s /. 1e9 /. s.traced_wall_s)))
+        ~samples:steps_n ~note:"residual share: core, engine, network and harness";
     ]
 
 let run w episodes ~seconds ~spans =
