@@ -71,7 +71,7 @@ let overload_sc =
   }
 
 let durable_bft =
-  let load = 30 in
+  let load = 15 in
   {
     name = "durable_bft";
     protocol = H.Cluster.Bft_protocol;

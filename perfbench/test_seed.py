@@ -8,9 +8,9 @@ Builds the benchmark, then for each workload checks that
   same cluster seeds, and report identical virtual metrics;
 - two traced runs with one seed report identical per-layer counts;
 - another seed draws another arrival schedule and other cluster seeds.
-Each run measures a single pass (--seconds 0).  Host timings are left out of
-the comparison: they are the only figures allowed to differ.  Exit status 1
-on the first mismatch.
+Each run is the shortest the benchmark makes (--seconds 0).  Host timings
+are left out of the comparison: they are the only figures allowed to differ.
+Exit status 1 on the first mismatch.
 """
 
 import argparse
