@@ -17,13 +17,21 @@ let outcome_label = function
   | C.Explore.Violation v ->
     Printf.sprintf "violation of %s" v.C.Explore.result.I.name
 
+(* Exact explored-state counts at the default bounds (what
+   `sof check --require-exhausted --stats` prints).  Any change to a core's
+   message flow or to the explorer moves them; a pure refactor must not. *)
+let expected_states = function
+  | C.Model.Sc -> 134
+  | C.Model.Scr -> 279
+  | C.Model.Bft -> 246
+  | C.Model.Ct -> 27
+
 let test_exhausts p () =
   let r = run (tiny p) in
   match r.C.Explore.outcome with
   | C.Explore.Exhausted ->
-    Alcotest.(check bool)
-      "explored some states" true
-      (r.C.Explore.stats.C.Explore.states > 0)
+    Alcotest.(check int) "explored states" (expected_states p)
+      r.C.Explore.stats.C.Explore.states
   | o -> Alcotest.failf "%s: expected exhaustion, got %s"
            (C.Model.protocol_name p) (outcome_label o)
 

@@ -225,8 +225,9 @@ let count_events cluster pred =
   List.length (List.filter (fun (_, _, e) -> pred e) (Cluster.events cluster))
 
 (* Crash one process mid-run, restart it, and require checkpointed state
-   transfer to bring it back into agreement with the survivors. *)
-let crash_restart_run ~kind ~faults ~crashed =
+   transfer (after local WAL replay, when [durable]) to bring it back into
+   agreement with the survivors. *)
+let crash_restart_run ?(durable = false) ~kind ~faults ~crashed () =
   let spec =
     {
       (Cluster.default_spec ~kind ~f:1) with
@@ -235,6 +236,7 @@ let crash_restart_run ~kind ~faults ~crashed =
       heartbeat_interval = sec 3600;
       checkpoint_interval = 4;
       faults;
+      durable;
     }
   in
   let cluster = Cluster.build spec in
@@ -246,23 +248,41 @@ let crash_restart_run ~kind ~faults ~crashed =
   Cluster.run cluster ~until:(sec 8);
   cluster
 
-let test_restart_recovers_via_state_transfer () =
-  let cluster =
-    crash_restart_run ~kind:Cluster.Bft_protocol ~faults:[] ~crashed:3
-  in
+let kind_name = function
+  | Cluster.Sc_protocol -> "sc"
+  | Cluster.Scr_protocol -> "scr"
+  | Cluster.Bft_protocol -> "bft"
+  | Cluster.Ct_protocol -> "ct"
+
+(* Every process except the Byzantine responders. *)
+let honest cluster ~faults =
+  List.filter
+    (fun p -> not (List.mem_assoc p faults))
+    (List.init (Cluster.process_count cluster) Fun.id)
+
+let check_invariants results =
+  List.iter
+    (fun r ->
+      Alcotest.(check bool) ("invariant " ^ r.H.Invariants.name) true r.H.Invariants.pass)
+    results
+
+let transfer_installed cluster =
+  count_events cluster (function
+    | P.Context.State_transfer_installed _ -> true
+    | _ -> false)
+  >= 1
+
+let test_restart_recovers_via_state_transfer ~kind ~crashed () =
+  let cluster = crash_restart_run ~kind ~faults:[] ~crashed () in
   Alcotest.(check bool) "restart recorded" true
     (count_events cluster (function P.Context.Node_restarted -> true | _ -> false) >= 1);
-  Alcotest.(check bool) "state transfer installed" true
-    (count_events cluster (function
-       | P.Context.State_transfer_installed _ -> true
-       | _ -> false)
-    >= 1);
+  Alcotest.(check bool) "state transfer installed" true (transfer_installed cluster);
   (* The restarted process resumes delivering after its comeback. *)
   let last_restart =
     List.fold_left
       (fun acc (at, who, e) ->
         match e with
-        | P.Context.Node_restarted when who = 3 -> Some at
+        | P.Context.Node_restarted when who = crashed -> Some at
         | _ -> acc)
       None (Cluster.events cluster)
   in
@@ -270,67 +290,115 @@ let test_restart_recovers_via_state_transfer () =
   Alcotest.(check bool) "restarted process delivers again" true
     (List.exists
        (fun (at, who, e) ->
-         who = 3
+         who = crashed
          && Simtime.compare at restarted_at > 0
          && match e with P.Context.Delivered _ -> true | _ -> false)
        (Cluster.events cluster));
-  List.iter
-    (fun r ->
-      Alcotest.(check bool) ("invariant " ^ r.H.Invariants.name) true r.H.Invariants.pass)
+  let honest = honest cluster ~faults:[] in
+  check_invariants
     [
-      H.Invariants.agreement cluster ~honest:[ 0; 1; 2; 3 ];
-      H.Invariants.prefix_consistency cluster ~honest:[ 0; 1; 2; 3 ];
-      H.Invariants.checkpoint_agreement cluster ~honest:[ 0; 1; 2; 3 ];
+      H.Invariants.agreement cluster ~honest;
+      H.Invariants.prefix_consistency cluster ~honest;
+      H.Invariants.checkpoint_agreement cluster ~honest;
     ]
 
 (* A Byzantine responder serves corrupt checkpoint images: every such offer
    must be rejected (the image digest does not match the certificate), and
    recovery must still complete from the honest responders. *)
-let test_corrupt_checkpoint_image_rejected () =
-  let cluster =
-    crash_restart_run ~kind:Cluster.Bft_protocol
-      ~faults:[ (1, P.Fault.Corrupt_checkpoint_image) ]
-      ~crashed:3
-  in
+let test_corrupt_checkpoint_image_rejected ~kind ~responder () =
+  let faults = [ (responder, P.Fault.Corrupt_checkpoint_image) ] in
+  let cluster = crash_restart_run ~kind ~faults ~crashed:3 () in
   Alcotest.(check bool) "corrupt offer rejected" true
     (count_events cluster (function
-       | P.Context.State_transfer_rejected { from } -> from = 1
+       | P.Context.State_transfer_rejected { from } -> from = responder
        | _ -> false)
     >= 1);
-  Alcotest.(check bool) "recovery still installs" true
-    (count_events cluster (function
-       | P.Context.State_transfer_installed _ -> true
-       | _ -> false)
-    >= 1);
-  List.iter
-    (fun r ->
-      Alcotest.(check bool) ("invariant " ^ r.H.Invariants.name) true r.H.Invariants.pass)
+  Alcotest.(check bool) "recovery still installs" true (transfer_installed cluster);
+  let honest = honest cluster ~faults in
+  check_invariants
     [
-      H.Invariants.agreement cluster ~honest:[ 0; 2; 3 ];
-      H.Invariants.checkpoint_agreement cluster ~honest:[ 0; 2; 3 ];
+      H.Invariants.agreement cluster ~honest;
+      H.Invariants.checkpoint_agreement cluster ~honest;
     ]
 
 (* A stale responder serves its previous stable checkpoint with no log
    suffix: verifiably certified, just old.  The recovering process must end
    up at the freshest offer, not the stale one. *)
-let test_stale_checkpoint_tolerated () =
-  let cluster =
-    crash_restart_run ~kind:Cluster.Bft_protocol
-      ~faults:[ (1, P.Fault.Stale_checkpoint) ]
-      ~crashed:3
-  in
+let test_stale_checkpoint_tolerated ~kind ~responder () =
+  let faults = [ (responder, P.Fault.Stale_checkpoint) ] in
+  let cluster = crash_restart_run ~kind ~faults ~crashed:3 () in
   Alcotest.(check bool) "recovery installs despite staleness" true
-    (count_events cluster (function
-       | P.Context.State_transfer_installed _ -> true
-       | _ -> false)
-    >= 1);
-  List.iter
-    (fun r ->
-      Alcotest.(check bool) ("invariant " ^ r.H.Invariants.name) true r.H.Invariants.pass)
+    (transfer_installed cluster);
+  let honest = honest cluster ~faults in
+  check_invariants
     [
-      H.Invariants.agreement cluster ~honest:[ 0; 2; 3 ];
-      H.Invariants.prefix_consistency cluster ~honest:[ 0; 2; 3 ];
+      H.Invariants.agreement cluster ~honest;
+      H.Invariants.prefix_consistency cluster ~honest;
     ]
+
+(* The lifecycle cases run against every core that has the fault.  CT
+   (n = 3) crashes its last process; the Byzantine responders are SC/SCR's
+   first replica and BFT's first backup (SC's replica 1 answers only after
+   f+1 other offers have already ended the fetch). *)
+let lifecycle_cases =
+  let case fmt kind test =
+    Alcotest.test_case (Printf.sprintf fmt (kind_name kind)) `Slow test
+  in
+  let byzantine =
+    [ (Cluster.Sc_protocol, 0); (Cluster.Scr_protocol, 0); (Cluster.Bft_protocol, 1) ]
+  in
+  List.map
+    (fun (kind, crashed) ->
+      case "restart recovers via state transfer (%s)" kind
+        (test_restart_recovers_via_state_transfer ~kind ~crashed))
+    [ (Cluster.Sc_protocol, 3); (Cluster.Scr_protocol, 3); (Cluster.Bft_protocol, 3);
+      (Cluster.Ct_protocol, 2) ]
+  @ List.map
+      (fun (kind, responder) ->
+        case "corrupt checkpoint image rejected (%s)" kind
+          (test_corrupt_checkpoint_image_rejected ~kind ~responder))
+      byzantine
+  @ List.map
+      (fun (kind, responder) ->
+        case "stale checkpoint tolerated (%s)" kind
+          (test_stale_checkpoint_tolerated ~kind ~responder))
+      byzantine
+
+(* Trajectory pin: an MD5 over every event of a seeded crash-restart run,
+   one "time who event" line each.  A refactor of the recovery lifecycle
+   must leave these byte-identical: the same messages at the same virtual
+   instants, charged the same CPU. *)
+let trajectory_digest cluster =
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun (at, who, e) ->
+      Buffer.add_string buf
+        (Format.asprintf "%a %d %a\n" Simtime.pp at who P.Context.pp_event e))
+    (Cluster.events cluster);
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let pinned_trajectories =
+  let corrupt p = [ (p, P.Fault.Corrupt_checkpoint_image) ] in
+  [
+    (Cluster.Sc_protocol, corrupt 0, 3, false, "139641b4daae5c69e0ceef43d198bc19");
+    (Cluster.Sc_protocol, corrupt 0, 3, true, "9b7f460a9a9982f480b6cdeaa37871f9");
+    (Cluster.Scr_protocol, corrupt 0, 3, false, "5e17a9f5dac694b4ea04550b6de28096");
+    (Cluster.Scr_protocol, corrupt 0, 3, true, "bbbb2bfe6bf81c00bc44f75208a0c88e");
+    (Cluster.Bft_protocol, corrupt 1, 3, false, "0e9e053c444ae937c20818ea5675997e");
+    (Cluster.Bft_protocol, corrupt 1, 3, true, "3ca10732d02760a0ab107c106e4e7b9e");
+    (Cluster.Ct_protocol, [], 2, false, "b6ff81c11d078fab3ca2b94f95436cb7");
+    (Cluster.Ct_protocol, [], 2, true, "a52aa7efbe5b51bfd44ec9c0f37e2903");
+  ]
+
+let test_trajectories_pinned () =
+  List.iter
+    (fun (kind, faults, crashed, durable, expected) ->
+      let cluster = crash_restart_run ~durable ~kind ~faults ~crashed () in
+      Alcotest.(check string)
+        (Printf.sprintf "%s%s trajectory" (kind_name kind)
+           (if durable then " durable" else ""))
+        expected (trajectory_digest cluster))
+    pinned_trajectories
 
 (* Log truncation bounds memory: with checkpointing on, the retained order
    log never grows past a small multiple of the interval. *)
@@ -378,12 +446,9 @@ let suite =
         Alcotest.test_case "verify: quorum-signed" `Quick test_verify_quorum_signed;
         Alcotest.test_case "verify: quorum-counted" `Quick test_verify_quorum_counted;
         Alcotest.test_case "verify: pair-endorsed" `Quick test_verify_pair_endorsed;
-        Alcotest.test_case "restart recovers via state transfer" `Slow
-          test_restart_recovers_via_state_transfer;
-        Alcotest.test_case "corrupt checkpoint image rejected" `Slow
-          test_corrupt_checkpoint_image_rejected;
-        Alcotest.test_case "stale checkpoint tolerated" `Slow
-          test_stale_checkpoint_tolerated;
         Alcotest.test_case "truncation bounds the log" `Slow test_truncation_bounds_log;
-      ] );
+        Alcotest.test_case "crash-restart trajectories pinned" `Slow
+          test_trajectories_pinned;
+      ]
+      @ lifecycle_cases );
   ]
