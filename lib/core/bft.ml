@@ -76,17 +76,9 @@ type t = {
   mutable changing_view : bool;
   mutable vc_span : int option;  (* open view-change trace span *)
   rcv : Recovery.state;
-  mutable recent_delivered : (int * Request.t list) list;
-      (* Delivered batches retained to serve state transfer (newest first);
-         pruned one interval behind the stable checkpoint.  Only maintained
-         when checkpointing is on. *)
-  mutable fetch_timer : Context.timer option;
   (* adaptive timing (Config.Adaptive only; untouched in Static mode so
      seeded static runs keep the exact stream layout) *)
-  ests : Sof_net.Delay_estimator.t option array;  (* per-peer RTT, lazy *)
-  probe_accepted : int array;  (* highest reply nonce accepted per peer *)
-  mutable probe_nonce : int;
-  mutable fetch_backoff : int;  (* doublings applied to fetch retries *)
+  rtt : Sof_net.Peer_rtt.t;
   mutable vc_backoff : int;  (* doublings applied to consecutive suspicions *)
 }
 
@@ -138,14 +130,6 @@ module Estimator = Sof_net.Delay_estimator
 let adaptive t =
   match t.config.timing with Config.Adaptive -> true | Config.Static -> false
 
-let est_for t peer =
-  match t.ests.(peer) with
-  | Some e -> e
-  | None ->
-    let e = Estimator.create ~initial:t.config.view_change_timeout () in
-    t.ests.(peer) <- Some e;
-    e
-
 let timer_cap t = Simtime.ns (64 * Simtime.to_ns t.config.view_change_timeout)
 
 (* The stall budget a replica grants the current primary before suspecting
@@ -157,20 +141,13 @@ let suspicion_delay t =
   | Config.Static -> t.config.view_change_timeout
   | Config.Adaptive ->
     Estimator.backed_off
-      (Estimator.timeout (est_for t (primary t)))
+      (Estimator.timeout (Sof_net.Peer_rtt.estimator t.rtt (primary t)))
       ~level:t.vc_backoff ~cap:(timer_cap t)
 
 let send_probe t dst =
-  t.probe_nonce <- t.probe_nonce + 1;
+  let nonce = Sof_net.Peer_rtt.next_nonce t.rtt in
   let at = Simtime.to_ns (t.ctx.Context.now ()) in
-  multicast t ~dsts:[ dst ] (make_signed t (Message.Probe { nonce = t.probe_nonce; at }))
-
-let note_probe_reply t ~src ~nonce ~at =
-  if adaptive t && nonce > t.probe_accepted.(src) then begin
-    t.probe_accepted.(src) <- nonce;
-    Estimator.observe (est_for t src)
-      (Simtime.diff (t.ctx.Context.now ()) (Simtime.ns at))
-  end
+  multicast t ~dsts:[ dst ] (make_signed t (Message.Probe { nonce; at }))
 
 let get_order t o =
   match Hashtbl.find_opt t.orders o with
@@ -241,17 +218,11 @@ let truncate t upto =
   List.iter (Hashtbl.remove t.orders) stale;
   (* Keep one extra interval of delivered keys so a primary elected late that
      re-orders a just-delivered request is still deduplicated. *)
-  let keep_above = upto - t.config.checkpoint_interval in
-  let dropped, kept = List.partition (fun (o, _) -> o <= keep_above) t.recent_delivered in
   List.iter
-    (fun (_, requests) ->
-      List.iter
-        (fun (req : Request.t) ->
-          t.delivered_keys <- Key_set.remove req.Request.key t.delivered_keys;
-          t.ordered_keys <- Key_set.remove req.Request.key t.ordered_keys)
-        requests)
-    dropped;
-  t.recent_delivered <- kept;
+    (fun (req : Request.t) ->
+      t.delivered_keys <- Key_set.remove req.Request.key t.delivered_keys;
+      t.ordered_keys <- Key_set.remove req.Request.key t.ordered_keys)
+    (Recovery.prune_delivered t.rcv ~upto:(upto - t.config.checkpoint_interval));
   t.ctx.Context.emit (Context.Log_truncated { upto; retained = Hashtbl.length t.orders })
 
 let maybe_stabilize t ~seq ~digest =
@@ -301,7 +272,7 @@ let rec advance_delivery t =
       t.ctx.Context.deliver ~seq:st.o batch;
       t.ctx.Context.emit (Context.Delivered { seq = st.o; batch });
       if t.config.checkpoint_interval > 0 then begin
-        t.recent_delivered <- (st.o, []) :: t.recent_delivered;
+        Recovery.note_delivered t.rcv ~seq:st.o [];
         if Checkpoint.is_boundary ~interval:t.config.checkpoint_interval st.o then
           checkpoint_boundary t st.o
       end;
@@ -333,7 +304,7 @@ let rec advance_delivery t =
         t.ctx.Context.deliver ~seq:st.o batch;
         t.ctx.Context.emit (Context.Delivered { seq = st.o; batch });
         if t.config.checkpoint_interval > 0 then begin
-          t.recent_delivered <- (st.o, requests) :: t.recent_delivered;
+          Recovery.note_delivered t.rcv ~seq:st.o requests;
           if Checkpoint.is_boundary ~interval:t.config.checkpoint_interval st.o then
             checkpoint_boundary t st.o
         end;
@@ -433,285 +404,64 @@ let accept_pre_prepare t ~(info : Message.order_info) ~v =
 
 (* --------------------------------------------- state transfer (BFT) *)
 
-(* Serve the stable checkpoint image (when the requester is behind it), the
-   retained delivered batches, and the committed-but-undelivered tail.  Every
-   entry digest is recomputed over exactly the requests served — correct
-   processes deliver identical filtered batches, so their recomputed digests
-   agree and f+1 matching claims pin each entry down at the requester.  A
-   Byzantine responder can serve a corrupt image ([Corrupt_checkpoint_image])
-   or a lazily stale checkpoint ([Stale_checkpoint]); the first is rejected
-   against the certified digest, the second simply loses to fresher offers. *)
-let serve_state_request t ~src ~have =
-  let stable =
-    match t.fault with
-    | Fault.Stale_checkpoint -> Recovery.previous_stable t.rcv
-    | _ -> Recovery.latest_stable t.rcv
-  in
-  let cert, image =
-    match stable with
-    | Some (c, img) when c.Checkpoint.cp_seq > have -> (Some c, img)
-    | Some _ | None -> (None, "")
-  in
-  let image =
-    match t.fault with
-    | Fault.Corrupt_checkpoint_image when String.length image > 0 ->
-      let b = Bytes.of_string image in
-      Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0xff));
-      Bytes.to_string b
-    | _ -> image
-  in
-  let base = match cert with Some c -> max have c.Checkpoint.cp_seq | None -> have in
-  let entries =
-    match t.fault with
-    | Fault.Stale_checkpoint -> []
-    | _ ->
-      let delivered_entries =
-        List.filter_map
-          (fun (o, requests) ->
-            if o > base then begin
-              let batch = Batch.make requests in
-              t.ctx.Context.digest_charge (Batch.encoded_size batch);
-              Some
-                {
-                  Checkpoint.e_o = o;
-                  e_digest = Batch.digest t.config.digest batch;
-                  e_requests = requests;
-                }
-            end
-            else None)
-          t.recent_delivered
-      in
-      let tail =
-        Hashtbl.fold
-          (fun o st acc ->
-            if o <= t.delivered || o <= base || not st.committed then acc
-            else begin
-              let requests =
-                List.filter_map (fun k -> Key_map.find_opt k t.pending) st.keys
-              in
-              if Int.equal (List.length requests) (List.length st.keys) then begin
-                let batch = Batch.make requests in
-                t.ctx.Context.digest_charge (Batch.encoded_size batch);
-                {
-                  Checkpoint.e_o = o;
-                  e_digest = Batch.digest t.config.digest batch;
-                  e_requests = requests;
-                }
-                :: acc
-              end
-              else acc
-            end)
-          t.orders []
-      in
-      List.sort
-        (fun (a : Checkpoint.entry) b -> Int.compare a.Checkpoint.e_o b.Checkpoint.e_o)
-        (delivered_entries @ tail)
-  in
-  (* A Byzantine responder serving from a tampered local log: the checkpoint
-     is genuine but every entry digest is flipped, so no entry matches its
-     recomputed batch digest and the requester's entry checks exclude the
-     whole suffix. *)
-  let entries =
-    match t.fault with
-    | Fault.Corrupt_wal_suffix ->
-      List.map
-        (fun (e : Checkpoint.entry) ->
-          match e.Checkpoint.e_digest with
-          | "" -> e
-          | d ->
-            let b = Bytes.of_string d in
-            Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0xff));
-            { e with Checkpoint.e_digest = Bytes.to_string b })
-        entries
-    | _ -> entries
-  in
-  send_one t ~dst:src (make_signed t (Message.State_response { cert; image; entries }))
+module Lifecycle = Recovery.Lifecycle (struct
+  type nonrec t = t
 
-let entry_ok t (e : Checkpoint.entry) =
-  let batch = Batch.make e.Checkpoint.e_requests in
-  t.ctx.Context.digest_charge (Batch.encoded_size batch);
-  String.equal (Batch.digest t.config.digest batch) e.Checkpoint.e_digest
+  let ctx t = t.ctx
+  let rcv t = t.rcv
+  let f t = t.config.f
+  let digest t = t.config.digest
+  let fault t = t.fault
+  let scheme = ckpt_scheme
+  let envelope = make_signed
+  let send = send_one
+  let multicast = multicast
+  let others = others
+  let adaptive = adaptive
+  let timer_cap = timer_cap
+  let fetch_retry_base t = t.config.view_change_timeout
+  let delivered t = t.delivered
 
-(* Install the best certified image above our delivery point, then the
-   contiguous entry suffix with f+1 matching claims per entry (at least one
-   claimant is correct).  Transferred entries enter the log as committed and
-   are delivered by the normal in-sequence walk; no Committed event is
-   re-emitted for them. *)
-let install_from_offers ?(announce = true) t ~entry_quorum =
-  let image_installed =
-    match Recovery.best_image t.rcv ~above:t.delivered with
-    | Some (cert, image, _) -> begin
-      match Checkpoint.unwrap_image image with
-      | None -> false (* digest-verified yet malformed: refuse quietly *)
-      | Some (snap, marks) ->
-        t.ctx.Context.restore snap;
-        Recovery.merge_marks t.rcv marks;
-        t.delivered <- cert.Checkpoint.cp_seq;
-        if t.max_committed < cert.Checkpoint.cp_seq then
-          t.max_committed <- cert.Checkpoint.cp_seq;
-        Recovery.note_image t.rcv ~seq:cert.Checkpoint.cp_seq ~image;
-        if Recovery.note_stable t.rcv ~cert ~image then
-          t.ctx.Context.emit
-            (Context.Checkpoint_stable
-               { seq = cert.Checkpoint.cp_seq; digest = cert.Checkpoint.cp_digest });
-        truncate t cert.Checkpoint.cp_seq;
-        true
+  let committed_tail t ~base =
+    Hashtbl.fold
+      (fun o st acc ->
+        if o <= t.delivered || o <= base || not st.committed then acc
+        else
+          let requests = List.filter_map (fun k -> Key_map.find_opt k t.pending) st.keys in
+          if Int.equal (List.length requests) (List.length st.keys) then
+            Recovery.batch_entry t.ctx t.config.digest ~o requests :: acc
+          else acc)
+      t.orders []
+
+  let adopt_entry t (e : Checkpoint.entry) =
+    let st = get_order t e.Checkpoint.e_o in
+    if not st.committed then begin
+      st.digest <- e.Checkpoint.e_digest;
+      st.keys <- List.map (fun (r : Request.t) -> r.Request.key) e.Checkpoint.e_requests;
+      st.pre_prepared <- true;
+      st.committed <- true;
+      List.iter
+        (fun (r : Request.t) ->
+          t.ordered_keys <- Key_set.add r.Request.key t.ordered_keys;
+          if
+            (not (Key_map.mem r.Request.key t.pending))
+            && not (Key_set.mem r.Request.key t.delivered_keys)
+          then t.pending <- Key_map.add r.Request.key r t.pending)
+        e.Checkpoint.e_requests;
+      if st.o > t.max_committed then t.max_committed <- st.o
     end
-    | None -> false
-  in
-  let installed_at = t.delivered in
-  let entries =
-    Recovery.select_entries ~quorum:entry_quorum ~base:t.delivered
-      ~entry_ok:(entry_ok t) t.rcv
-  in
-  List.iter
-    (fun (e : Checkpoint.entry) ->
-      let st = get_order t e.Checkpoint.e_o in
-      if not st.committed then begin
-        st.digest <- e.Checkpoint.e_digest;
-        st.keys <- List.map (fun (r : Request.t) -> r.Request.key) e.Checkpoint.e_requests;
-        st.pre_prepared <- true;
-        st.committed <- true;
-        List.iter
-          (fun (r : Request.t) ->
-            t.ordered_keys <- Key_set.add r.Request.key t.ordered_keys;
-            if
-              (not (Key_map.mem r.Request.key t.pending))
-              && not (Key_set.mem r.Request.key t.delivered_keys)
-            then t.pending <- Key_map.add r.Request.key r t.pending)
-          e.Checkpoint.e_requests;
-        if st.o > t.max_committed then t.max_committed <- st.o
-      end)
-    entries;
-  if announce && (image_installed || entries <> []) then
-    t.ctx.Context.emit
-      (Context.State_transfer_installed
-         { seq = installed_at; entries = List.length entries });
-  advance_delivery t
 
-let attempt_install t = install_from_offers t ~entry_quorum:(t.config.f + 1)
+  let move_to_image t ~seq =
+    t.delivered <- seq;
+    if t.max_committed < seq then t.max_committed <- seq;
+    truncate t seq
 
-(* Local-first recovery: the locally persisted checkpoint image and WAL
-   entry suffix enter as a synthetic self-offer, verified exactly like a
-   peer's State_response — 2f+1-signed certificate, image bytes against
-   the certified digest, each entry against its recomputed batch digest.
-   Entry quorum 1: the replica vouches only for its own log, and the
-   digest checks exclude any torn or tampered suffix entry-by-entry.
-   Returns whether delivery advanced; the caller escalates to peer repair
-   when it did not or the log was damaged. *)
-let recover_local t ~cert ~image ~entries =
-  let before = t.delivered in
-  let cert_ok =
-    match cert with
-    | None -> true
-    | Some c ->
-      t.ctx.Context.digest_charge (String.length image);
-      Recovery.verify_cert
-        ~verify:(fun ~signer ~msg ~signature ->
-          t.ctx.Context.verify_acc ~signer ~msg ~signature)
-        ~scheme:(ckpt_scheme t) c
-      && String.equal (Checkpoint.image_digest t.config.digest image) c.Checkpoint.cp_digest
-  in
-  if not cert_ok then begin
-    t.ctx.Context.emit (Context.State_transfer_rejected { from = id t });
-    false
-  end
-  else begin
-    Recovery.clear_offers t.rcv;
-    Recovery.add_offer t.rcv
-      { Recovery.st_from = id t; st_cert = cert; st_image = image; st_entries = entries };
-    (* The synthetic self-offer is a local replay, not a peer transfer:
-       the harness announces it as [Wal_replayed], so the install stays
-       silent to keep transfer accounting honest. *)
-    install_from_offers ~announce:false t ~entry_quorum:1;
-    Recovery.clear_offers t.rcv;
-    (* A recovered process must never mint at or below what it just
-       restored: a fresh order under a committed sequence number could
-       strand below the delivery low-water mark or conflict with an
-       absorbed entry. *)
-    if t.next_seq <= t.max_committed then t.next_seq <- t.max_committed + 1;
-    t.delivered > before
-  end
+  let advance_delivery = advance_delivery
+  let fence_minting t = if t.next_seq <= t.max_committed then t.next_seq <- t.max_committed + 1
+end)
 
-let fetch_target t =
-  List.fold_left
-    (fun acc (off : Recovery.offer) ->
-      let acc =
-        match off.Recovery.st_cert with
-        | Some c -> max acc c.Checkpoint.cp_seq
-        | None -> acc
-      in
-      List.fold_left
-        (fun acc (e : Checkpoint.entry) -> max acc e.Checkpoint.e_o)
-        acc off.Recovery.st_entries)
-    0 (Recovery.offers t.rcv)
-
-(* End the fetch only after offers from f+1 distinct responders (so at
-   least one is honest) all fall at or below what we have delivered: a
-   single early "nothing above your watermark" reply must not terminate
-   the fetch before a helpful offer arrives. *)
-let maybe_end_fetch t =
-  if
-    Recovery.fetching t.rcv
-    && List.length (Recovery.offers t.rcv) > t.config.f
-    && t.delivered >= fetch_target t
-  then begin
-    span_close t Context.Recovery_phase (Recovery.fetch_anchor t.rcv);
-    Recovery.end_fetch t.rcv;
-    (match t.fetch_timer with Some h -> h.Context.cancel () | None -> ());
-    t.fetch_timer <- None;
-    t.fetch_backoff <- 0;
-    Recovery.clear_offers t.rcv
-  end
-
-let rec fetch_tick t =
-  if Recovery.fetching t.rcv then begin
-    Recovery.clear_offers t.rcv;
-    multicast t ~dsts:(others t)
-      (make_signed t (Message.State_request { have = t.delivered }));
-    let delay =
-      if adaptive t then begin
-        let d =
-          Estimator.backed_off t.config.view_change_timeout ~level:t.fetch_backoff
-            ~cap:(timer_cap t)
-        in
-        t.fetch_backoff <- t.fetch_backoff + 1;
-        d
-      end
-      else t.config.view_change_timeout
-    in
-    t.fetch_timer <- Some (t.ctx.Context.set_timer ~delay (fun () -> fetch_tick t))
-  end
-
-let request_recovery t =
-  if not (Recovery.fetching t.rcv) then begin
-    Recovery.begin_fetch t.rcv ~have:t.delivered;
-    t.ctx.Context.emit (Context.State_transfer_started { have = t.delivered });
-    span_open t Context.Recovery_phase t.delivered;
-    fetch_tick t
-  end
-
-let handle_state_response t ~src ~cert ~image ~entries =
-  if Recovery.fetching t.rcv then begin
-    let cert_ok =
-      match cert with
-      | None -> true
-      | Some c ->
-        t.ctx.Context.digest_charge (String.length image);
-        Recovery.verify_cert
-          ~verify:(fun ~signer ~msg ~signature ->
-            t.ctx.Context.verify_acc ~signer ~msg ~signature)
-          ~scheme:(ckpt_scheme t) c
-        && String.equal (Checkpoint.image_digest t.config.digest image) c.Checkpoint.cp_digest
-    in
-    if not cert_ok then t.ctx.Context.emit (Context.State_transfer_rejected { from = src })
-    else begin
-      Recovery.add_offer t.rcv
-        { Recovery.st_from = src; st_cert = cert; st_image = image; st_entries = entries };
-      attempt_install t;
-      maybe_end_fetch t
-    end
-  end
+let request_recovery = Lifecycle.request_recovery
+let recover_local = Lifecycle.recover_local
 
 (* ----------------------------------------------------------- batching *)
 
@@ -944,15 +694,19 @@ let on_message t ~src (env : Message.envelope) =
          transfer rather than waiting for retransmissions. *)
       if seq > t.delivered + t.config.checkpoint_interval then request_recovery t
     end
-  | Message.State_request { have } -> if authentic t env then serve_state_request t ~src ~have
+  | Message.State_request { have } ->
+    if authentic t env then Lifecycle.serve_state_request t ~src ~have
   | Message.State_response { cert; image; entries } ->
-    if authentic t env then handle_state_response t ~src ~cert ~image ~entries
+    if authentic t env then Lifecycle.handle_state_response t ~src ~cert ~image ~entries
   | Message.Probe { nonce; at } ->
     (* Echo the sender's timestamp back; replies are liveness-only input so
        they need no verification beyond the estimator's nonce filter. *)
     if adaptive t then
       multicast t ~dsts:[ src ] (make_signed t (Message.Probe_reply { nonce; at }))
-  | Message.Probe_reply { nonce; at } -> note_probe_reply t ~src ~nonce ~at
+  | Message.Probe_reply { nonce; at } ->
+    if adaptive t then
+      Sof_net.Peer_rtt.note_reply t.rtt ~src ~nonce
+        ~rtt:(Simtime.diff (t.ctx.Context.now ()) (Simtime.ns at))
   | Message.Order _ | Message.Ack _ | Message.Fail_signal _ | Message.Back_log _
   | Message.Start _ | Message.Start_ack _ | Message.Start_tuples _
   | Message.View_change _ | Message.New_view _ | Message.Unwilling _
@@ -985,11 +739,8 @@ let create ~ctx ~config ?(fault = Fault.Honest) () =
     changing_view = false;
     vc_span = None;
     rcv = Recovery.create ();
-    recent_delivered = [];
-    fetch_timer = None;
-    ests = Array.make (process_count config) None;
-    probe_accepted = Array.make (process_count config) 0;
-    probe_nonce = 0;
-    fetch_backoff = 0;
+    rtt =
+      Sof_net.Peer_rtt.create ~peers:(process_count config)
+        ~initial:config.view_change_timeout;
     vc_backoff = 0;
   }

@@ -76,17 +76,9 @@ type t = {
   mutable sync_replies : Int_set.t;
   mutable last_probe : Simtime.t;
   rcv : Recovery.state;
-  mutable recent_delivered : (int * Request.t list) list;
-      (* Delivered batches retained to serve state transfer (newest first);
-         pruned one interval behind the stable checkpoint.  Only maintained
-         when checkpointing is on. *)
-  mutable fetch_timer : Context.timer option;
   (* adaptive timing (Config.Adaptive only; untouched in Static mode so
      seeded static runs keep the exact stream layout) *)
-  ests : Sof_net.Delay_estimator.t option array;  (* per-peer RTT, lazy *)
-  probe_accepted : int array;  (* highest reply nonce accepted per peer *)
-  mutable probe_nonce : int;
-  mutable fetch_backoff : int;  (* doublings applied to fetch retries *)
+  rtt : Sof_net.Peer_rtt.t;
   mutable suspect_backoff : int;  (* doublings per consecutive rotation *)
 }
 
@@ -98,20 +90,15 @@ let delivered_seq t = t.delivered
 let quorum t = t.config.f + 1
 let i_am_coordinator t = Int.equal (id t) (coordinator t)
 
+(* Crash-only model: every envelope goes out unsigned. *)
+let unsigned t body = { Message.sender = id t; body; signature = ""; endorsement = None }
+
 (* ------------------------------------------------------ adaptive timing *)
 
 module Estimator = Sof_net.Delay_estimator
 
 let adaptive t =
   match t.config.timing with Config.Adaptive -> true | Config.Static -> false
-
-let est_for t peer =
-  match t.ests.(peer) with
-  | Some e -> e
-  | None ->
-    let e = Estimator.create ~initial:t.config.suspect_timeout () in
-    t.ests.(peer) <- Some e;
-    e
 
 let timer_cap t = Simtime.ns (64 * Simtime.to_ns t.config.suspect_timeout)
 
@@ -123,7 +110,7 @@ let timer_cap t = Simtime.ns (64 * Simtime.to_ns t.config.suspect_timeout)
 let suspect_estimate t =
   match t.config.timing with
   | Config.Static -> t.config.suspect_timeout
-  | Config.Adaptive -> Estimator.timeout (est_for t (coordinator t))
+  | Config.Adaptive -> Estimator.timeout (Sof_net.Peer_rtt.estimator t.rtt (coordinator t))
 
 let suspicion_delay t =
   match t.config.timing with
@@ -133,22 +120,9 @@ let suspicion_delay t =
       ~cap:(timer_cap t)
 
 let send_rtt_probe t dst =
-  t.probe_nonce <- t.probe_nonce + 1;
+  let nonce = Sof_net.Peer_rtt.next_nonce t.rtt in
   let at = Simtime.to_ns (t.ctx.Context.now ()) in
-  t.ctx.Context.multicast ~dsts:[ dst ]
-    {
-      Message.sender = id t;
-      body = Message.Probe { nonce = t.probe_nonce; at };
-      signature = "";
-      endorsement = None;
-    }
-
-let note_probe_reply t ~src ~nonce ~at =
-  if adaptive t && nonce > t.probe_accepted.(src) then begin
-    t.probe_accepted.(src) <- nonce;
-    Estimator.observe (est_for t src)
-      (Simtime.diff (t.ctx.Context.now ()) (Simtime.ns at))
-  end
+  t.ctx.Context.multicast ~dsts:[ dst ] (unsigned t (Message.Probe { nonce; at }))
 
 (* A coordinator may mint new sequence numbers only while it has recent
    evidence that a quorum is reachable: an isolated coordinator that mints
@@ -229,17 +203,11 @@ let truncate t upto =
   List.iter (Hashtbl.remove t.orders) stale;
   (* Keep one extra interval of delivered keys so a straggling Order that
      rebatches a just-delivered request is still deduplicated. *)
-  let keep_above = upto - t.config.checkpoint_interval in
-  let dropped, kept = List.partition (fun (o, _) -> o <= keep_above) t.recent_delivered in
   List.iter
-    (fun (_, requests) ->
-      List.iter
-        (fun (req : Request.t) ->
-          t.delivered_keys <- Key_set.remove req.Request.key t.delivered_keys;
-          t.ordered_keys <- Key_set.remove req.Request.key t.ordered_keys)
-        requests)
-    dropped;
-  t.recent_delivered <- kept;
+    (fun (req : Request.t) ->
+      t.delivered_keys <- Key_set.remove req.Request.key t.delivered_keys;
+      t.ordered_keys <- Key_set.remove req.Request.key t.ordered_keys)
+    (Recovery.prune_delivered t.rcv ~upto:(upto - t.config.checkpoint_interval));
   t.ctx.Context.emit (Context.Log_truncated { upto; retained = Hashtbl.length t.orders })
 
 let maybe_stabilize t ~seq ~digest =
@@ -274,13 +242,7 @@ let checkpoint_boundary t o =
   Recovery.note_image t.rcv ~seq:o ~image;
   span_open t Context.Checkpoint_phase o;
   Recovery.Tally.add (Recovery.tally t.rcv) ~seq:o ~digest ~signer:(id t) ~signature:"";
-  t.ctx.Context.multicast ~dsts:(others t)
-    {
-      Message.sender = id t;
-      body = Message.Checkpoint { seq = o; digest };
-      signature = "";
-      endorsement = None;
-    };
+  t.ctx.Context.multicast ~dsts:(others t) (unsigned t (Message.Checkpoint { seq = o; digest }));
   maybe_stabilize t ~seq:o ~digest
 
 let rec advance_delivery t =
@@ -326,7 +288,7 @@ let rec advance_delivery t =
           t.ctx.Context.deliver ~seq:st.o batch;
           t.ctx.Context.emit (Context.Delivered { seq = st.o; batch });
           if t.config.checkpoint_interval > 0 then begin
-            t.recent_delivered <- (st.o, requests) :: t.recent_delivered;
+            Recovery.note_delivered t.rcv ~seq:st.o requests;
             if Checkpoint.is_boundary ~interval:t.config.checkpoint_interval st.o then
               checkpoint_boundary t st.o
           end;
@@ -379,8 +341,7 @@ let vote t st digest cand =
     end;
     cand.c_votes <- Int_set.add (id t) cand.c_votes;
     let body = Message.Ack { c = t.epoch; o = st.o; digest } in
-    t.ctx.Context.multicast ~dsts:t.all_ids
-      { Message.sender = id t; body; signature = ""; endorsement = None }
+    t.ctx.Context.multicast ~dsts:t.all_ids (unsigned t body)
   end
 
 (* Record a candidate batch and cast this process's one vote per sequence
@@ -414,37 +375,27 @@ let accept_order t ~sender ~(info : Message.order_info) =
 
 (* --------------------------------------------- state transfer (CT) *)
 
-(* Serve everything above the requester's low-water mark: the stable
-   checkpoint image when the requester is behind it, delivered batches from
-   the retained window, and the committed-but-undelivered tail whose request
-   bodies are still pooled.  Delivered entries are served as the batch that
-   was actually handed to the service (duplicate requests already filtered)
-   with the digest recomputed over exactly those bytes — correct processes
-   filter identically, so honest responders agree on these digests. *)
-let serve_state_request t ~src ~have =
-  let cert, image =
-    match Recovery.latest_stable t.rcv with
-    | Some (c, img) when c.Checkpoint.cp_seq > have -> (Some c, img)
-    | Some _ | None -> (None, "")
-  in
-  let base = match cert with Some c -> max have c.Checkpoint.cp_seq | None -> have in
-  let delivered_entries =
-    List.filter_map
-      (fun (o, requests) ->
-        if o > base then begin
-          let batch = Batch.make requests in
-          t.ctx.Context.digest_charge (Batch.encoded_size batch);
-          Some
-            {
-              Checkpoint.e_o = o;
-              e_digest = Batch.digest t.config.digest batch;
-              e_requests = requests;
-            }
-        end
-        else None)
-      t.recent_delivered
-  in
-  let tail =
+module Lifecycle = Recovery.Lifecycle (struct
+  type nonrec t = t
+
+  let ctx t = t.ctx
+  let rcv t = t.rcv
+  let f t = t.config.f
+  let digest t = t.config.digest
+  let fault _ = Fault.Honest
+  let scheme = ckpt_scheme
+  let envelope = unsigned
+  let send t ~dst env = t.ctx.Context.send ~dst env
+  let multicast t ~dsts env = t.ctx.Context.multicast ~dsts env
+  let others = others
+  let adaptive = adaptive
+  let timer_cap = timer_cap
+  let fetch_retry_base t = t.config.suspect_timeout
+  let delivered t = t.delivered
+
+  (* Committed winners whose request bodies are still pooled, served under
+     the digest they committed with. *)
+  let committed_tail t ~base =
     Hashtbl.fold
       (fun o st acc ->
         if o <= t.delivered || o <= base then acc
@@ -460,212 +411,38 @@ let serve_state_request t ~src ~have =
               else acc
             | Some { c_keys = None; _ } | None -> acc))
       t.orders []
-  in
-  let entries =
-    List.sort
-      (fun (a : Checkpoint.entry) b -> Int.compare a.Checkpoint.e_o b.Checkpoint.e_o)
-      (delivered_entries @ tail)
-  in
-  t.ctx.Context.send ~dst:src
-    {
-      Message.sender = id t;
-      body = Message.State_response { cert; image; entries };
-      signature = "";
-      endorsement = None;
-    }
 
-let entry_ok t (e : Checkpoint.entry) =
-  let batch = Batch.make e.Checkpoint.e_requests in
-  t.ctx.Context.digest_charge (Batch.encoded_size batch);
-  String.equal (Batch.digest t.config.digest batch) e.Checkpoint.e_digest
+  (* A transferred entry enters the order log as a committed winner. *)
+  let adopt_entry t (e : Checkpoint.entry) =
+    let st = get_order t e.Checkpoint.e_o in
+    match st.winner with
+    | Some _ -> ()
+    | None ->
+      let cand = get_candidate st e.Checkpoint.e_digest in
+      let keys = List.map (fun (r : Request.t) -> r.Request.key) e.Checkpoint.e_requests in
+      if cand.c_keys = None then cand.c_keys <- Some keys;
+      List.iter
+        (fun (r : Request.t) ->
+          t.ordered_keys <- Key_set.add r.Request.key t.ordered_keys;
+          if
+            (not (Key_map.mem r.Request.key t.pending))
+            && not (Key_set.mem r.Request.key t.delivered_keys)
+          then t.pending <- Key_map.add r.Request.key r t.pending)
+        e.Checkpoint.e_requests;
+      st.winner <- Some e.Checkpoint.e_digest;
+      if st.o > t.max_committed then t.max_committed <- st.o
 
-(* Install whatever the collected offers certify: first the best certified
-   image strictly above our delivery point, then the contiguous entry suffix
-   (quorum 1 here — any single responder is correct under crash faults).
-   Transferred entries enter the order log as committed winners and are then
-   delivered by the normal in-sequence walk; no Committed event is re-emitted
-   for them (they were counted at their original commit). *)
-let install_from_offers ?(announce = true) t ~entry_quorum =
-  let image_installed =
-    match Recovery.best_image t.rcv ~above:t.delivered with
-    | Some (cert, image, _) -> begin
-      match Checkpoint.unwrap_image image with
-      | None -> false (* digest-verified yet malformed: refuse quietly *)
-      | Some (snap, marks) ->
-        t.ctx.Context.restore snap;
-        Recovery.merge_marks t.rcv marks;
-        t.delivered <- cert.Checkpoint.cp_seq;
-      if t.max_committed < cert.Checkpoint.cp_seq then
-        t.max_committed <- cert.Checkpoint.cp_seq;
-        Recovery.note_image t.rcv ~seq:cert.Checkpoint.cp_seq ~image;
-        if Recovery.note_stable t.rcv ~cert ~image then
-          t.ctx.Context.emit
-            (Context.Checkpoint_stable
-               { seq = cert.Checkpoint.cp_seq; digest = cert.Checkpoint.cp_digest });
-        truncate t cert.Checkpoint.cp_seq;
-        true
-    end
-    | None -> false
-  in
-  let installed_at = t.delivered in
-  let entries =
-    Recovery.select_entries ~quorum:entry_quorum ~base:t.delivered
-      ~entry_ok:(entry_ok t) t.rcv
-  in
-  List.iter
-    (fun (e : Checkpoint.entry) ->
-      let st = get_order t e.Checkpoint.e_o in
-      match st.winner with
-      | Some _ -> ()
-      | None ->
-        let cand = get_candidate st e.Checkpoint.e_digest in
-        let keys = List.map (fun (r : Request.t) -> r.Request.key) e.Checkpoint.e_requests in
-        if cand.c_keys = None then cand.c_keys <- Some keys;
-        List.iter
-          (fun (r : Request.t) ->
-            t.ordered_keys <- Key_set.add r.Request.key t.ordered_keys;
-            if
-              (not (Key_map.mem r.Request.key t.pending))
-              && not (Key_set.mem r.Request.key t.delivered_keys)
-            then t.pending <- Key_map.add r.Request.key r t.pending)
-          e.Checkpoint.e_requests;
-        st.winner <- Some e.Checkpoint.e_digest;
-        if st.o > t.max_committed then t.max_committed <- st.o)
-    entries;
-  if announce && (image_installed || entries <> []) then
-    t.ctx.Context.emit
-      (Context.State_transfer_installed
-         { seq = installed_at; entries = List.length entries });
-  advance_delivery t
+  let move_to_image t ~seq =
+    t.delivered <- seq;
+    if t.max_committed < seq then t.max_committed <- seq;
+    truncate t seq
 
-let attempt_install t = install_from_offers t ~entry_quorum:1
+  let advance_delivery = advance_delivery
+  let fence_minting t = if t.next_seq <= t.max_committed then t.next_seq <- t.max_committed + 1
+end)
 
-(* Local-first recovery: the locally persisted checkpoint image and WAL
-   entry suffix enter as a synthetic self-offer, verified exactly like a
-   peer's State_response — certificate under the checkpoint scheme, image
-   bytes against the certified digest, each entry against its recomputed
-   batch digest.  The entry quorum is 1 (the replica vouches only for its
-   own log), so a torn or tampered suffix is excluded entry-by-entry
-   rather than installed.  Returns whether delivery advanced; the caller
-   escalates to peer repair when it did not or the log was damaged. *)
-let recover_local t ~cert ~image ~entries =
-  let before = t.delivered in
-  let cert_ok =
-    match cert with
-    | None -> true
-    | Some c ->
-      t.ctx.Context.digest_charge (String.length image);
-      Recovery.verify_cert
-        ~verify:(fun ~signer ~msg ~signature ->
-          t.ctx.Context.verify_acc ~signer ~msg ~signature)
-        ~scheme:(ckpt_scheme t) c
-      && String.equal (Checkpoint.image_digest t.config.digest image) c.Checkpoint.cp_digest
-  in
-  if not cert_ok then begin
-    t.ctx.Context.emit (Context.State_transfer_rejected { from = id t });
-    false
-  end
-  else begin
-    Recovery.clear_offers t.rcv;
-    Recovery.add_offer t.rcv
-      { Recovery.st_from = id t; st_cert = cert; st_image = image; st_entries = entries };
-    (* The synthetic self-offer is a local replay, not a peer transfer:
-       the harness announces it as [Wal_replayed], so the install stays
-       silent to keep transfer accounting honest. *)
-    install_from_offers ~announce:false t ~entry_quorum:1;
-    Recovery.clear_offers t.rcv;
-    (* A recovered process must never mint at or below what it just
-       restored: a fresh order under a committed sequence number could
-       strand below the delivery low-water mark or conflict with an
-       absorbed entry. *)
-    if t.next_seq <= t.max_committed then t.next_seq <- t.max_committed + 1;
-    t.delivered > before
-  end
-
-(* The highest sequence number any collected offer can take us to. *)
-let fetch_target t =
-  List.fold_left
-    (fun acc (off : Recovery.offer) ->
-      let acc =
-        match off.Recovery.st_cert with
-        | Some c -> max acc c.Checkpoint.cp_seq
-        | None -> acc
-      in
-      List.fold_left
-        (fun acc (e : Checkpoint.entry) -> max acc e.Checkpoint.e_o)
-        acc off.Recovery.st_entries)
-    0 (Recovery.offers t.rcv)
-
-(* End the fetch only after offers from f+1 distinct responders (so at
-   least one is honest) all fall at or below what we have delivered: a
-   single early "nothing above your watermark" reply must not terminate
-   the fetch before a helpful offer arrives. *)
-let maybe_end_fetch t =
-  if
-    Recovery.fetching t.rcv
-    && List.length (Recovery.offers t.rcv) > t.config.f
-    && t.delivered >= fetch_target t
-  then begin
-    span_close t Context.Recovery_phase (Recovery.fetch_anchor t.rcv);
-    Recovery.end_fetch t.rcv;
-    (match t.fetch_timer with Some h -> h.Context.cancel () | None -> ());
-    t.fetch_timer <- None;
-    t.fetch_backoff <- 0;
-    Recovery.clear_offers t.rcv
-  end
-
-let rec fetch_tick t =
-  if Recovery.fetching t.rcv then begin
-    Recovery.clear_offers t.rcv;
-    t.ctx.Context.multicast ~dsts:(others t)
-      {
-        Message.sender = id t;
-        body = Message.State_request { have = t.delivered };
-        signature = "";
-        endorsement = None;
-      };
-    let delay =
-      if adaptive t then begin
-        let d =
-          Estimator.backed_off t.config.suspect_timeout ~level:t.fetch_backoff
-            ~cap:(timer_cap t)
-        in
-        t.fetch_backoff <- t.fetch_backoff + 1;
-        d
-      end
-      else t.config.suspect_timeout
-    in
-    t.fetch_timer <- Some (t.ctx.Context.set_timer ~delay (fun () -> fetch_tick t))
-  end
-
-let request_recovery t =
-  if not (Recovery.fetching t.rcv) then begin
-    Recovery.begin_fetch t.rcv ~have:t.delivered;
-    t.ctx.Context.emit (Context.State_transfer_started { have = t.delivered });
-    span_open t Context.Recovery_phase t.delivered;
-    fetch_tick t
-  end
-
-let handle_state_response t ~src ~cert ~image ~entries =
-  if Recovery.fetching t.rcv then begin
-    let cert_ok =
-      match cert with
-      | None -> true
-      | Some c ->
-        t.ctx.Context.digest_charge (String.length image);
-        Recovery.verify_cert
-          ~verify:(fun ~signer ~msg ~signature -> t.ctx.Context.verify_acc ~signer ~msg ~signature)
-          ~scheme:(ckpt_scheme t) c
-        && String.equal (Checkpoint.image_digest t.config.digest image) c.Checkpoint.cp_digest
-    in
-    if not cert_ok then t.ctx.Context.emit (Context.State_transfer_rejected { from = src })
-    else begin
-      Recovery.add_offer t.rcv
-        { Recovery.st_from = src; st_cert = cert; st_image = image; st_entries = entries };
-      attempt_install t;
-      maybe_end_fetch t
-    end
-  end
+let request_recovery = Lifecycle.request_recovery
+let recover_local = Lifecycle.recover_local
 
 (* Coordinator sync (crash fail-over under partitions): a probe announces the
    prober's epoch and delivery low-water mark; peers answer with every
@@ -675,14 +452,8 @@ let handle_state_response t ~src ~cert ~image ~entries =
    minted on the other side of a partition it just left. *)
 let probe t =
   t.last_probe <- t.ctx.Context.now ();
-  t.ctx.Context.multicast
-    ~dsts:(List.filter (fun p -> not (Int.equal p (id t))) t.all_ids)
-    {
-      Message.sender = id t;
-      body = Message.Heartbeat { pair = t.epoch; beat = t.delivered + 1 };
-      signature = "";
-      endorsement = None;
-    }
+  t.ctx.Context.multicast ~dsts:(others t)
+    (unsigned t (Message.Heartbeat { pair = t.epoch; beat = t.delivered + 1 }))
 
 let rec arm_batch_timer t =
   let h =
@@ -731,10 +502,7 @@ and batch_tick t =
              { seq = o; requests = Batch.request_count batch; bytes = Batch.encoded_size batch });
         List.iter (fun k -> t.ordered_keys <- Key_set.add k t.ordered_keys) info.Message.keys;
         let body = Message.Order { c = t.epoch; info } in
-        let env = { Message.sender = id t; body; signature = ""; endorsement = None } in
-        t.ctx.Context.multicast
-          ~dsts:(List.filter (fun p -> not (Int.equal p (id t))) t.all_ids)
-          env;
+        t.ctx.Context.multicast ~dsts:(others t) (unsigned t body);
         accept_order t ~sender:(id t) ~info
       end;
     arm_batch_timer t
@@ -842,19 +610,9 @@ let on_message t ~src (env : Message.envelope) =
           t.orders []
       in
       t.ctx.Context.send ~dst:src
-        {
-          Message.sender = id t;
-          body =
-            Message.View_change
-              {
-                v = e;
-                max_committed = t.max_committed;
-                committed_digest = "";
-                uncommitted;
-              };
-          signature = "";
-          endorsement = None;
-        }
+        (unsigned t
+           (Message.View_change
+              { v = e; max_committed = t.max_committed; committed_digest = ""; uncommitted }))
     end
   | Message.View_change { v; uncommitted; _ } ->
     (* Reply to a probe this process sent: learn (and vote for) the relayed
@@ -888,21 +646,18 @@ let on_message t ~src (env : Message.envelope) =
          transfer rather than waiting for retransmissions. *)
       if seq > t.delivered + t.config.checkpoint_interval then request_recovery t
     end
-  | Message.State_request { have } -> serve_state_request t ~src ~have
+  | Message.State_request { have } -> Lifecycle.serve_state_request t ~src ~have
   | Message.State_response { cert; image; entries } ->
-    handle_state_response t ~src ~cert ~image ~entries
+    Lifecycle.handle_state_response t ~src ~cert ~image ~entries
   | Message.Probe { nonce; at } ->
     (* Echo the sender's timestamp back (unsigned, like all CT traffic);
        replies are liveness-only input. *)
     if adaptive t then
-      t.ctx.Context.multicast ~dsts:[ src ]
-        {
-          Message.sender = id t;
-          body = Message.Probe_reply { nonce; at };
-          signature = "";
-          endorsement = None;
-        }
-  | Message.Probe_reply { nonce; at } -> note_probe_reply t ~src ~nonce ~at
+      t.ctx.Context.multicast ~dsts:[ src ] (unsigned t (Message.Probe_reply { nonce; at }))
+  | Message.Probe_reply { nonce; at } ->
+    if adaptive t then
+      Sof_net.Peer_rtt.note_reply t.rtt ~src ~nonce
+        ~rtt:(Simtime.diff (t.ctx.Context.now ()) (Simtime.ns at))
   | Message.Fail_signal _ | Message.Back_log _
   | Message.Start _ | Message.Start_ack _ | Message.Start_tuples _
   | Message.New_view _ | Message.Unwilling _
@@ -936,11 +691,7 @@ let create ~ctx ~config =
     sync_replies = Int_set.empty;
     last_probe = Simtime.zero;
     rcv = Recovery.create ();
-    recent_delivered = [];
-    fetch_timer = None;
-    ests = Array.make (process_count config) None;
-    probe_accepted = Array.make (process_count config) 0;
-    probe_nonce = 0;
-    fetch_backoff = 0;
+    rtt =
+      Sof_net.Peer_rtt.create ~peers:(process_count config) ~initial:config.suspect_timeout;
     suspect_backoff = 0;
   }

@@ -94,6 +94,9 @@ type state = {
   mutable st_offers : offer list;
   mutable st_fetching : bool;
   mutable st_fetch_anchor : int;
+  mutable st_fetch_timer : Context.timer option;
+  mutable st_fetch_backoff : int;  (* doublings applied to fetch retries *)
+  mutable st_recent : (int * Sof_smr.Request.t list) list;  (* newest first *)
   st_marks : (int, int) Hashtbl.t;  (* client -> highest delivered client_seq *)
 }
 
@@ -105,6 +108,9 @@ let create () =
     st_offers = [];
     st_fetching = false;
     st_fetch_anchor = 0;
+    st_fetch_timer = None;
+    st_fetch_backoff = 0;
+    st_recent = [];
     st_marks = Hashtbl.create 16;
   }
 
@@ -144,8 +150,6 @@ let add_offer state offer =
     offer :: List.filter (fun o -> not (Int.equal o.st_from offer.st_from)) state.st_offers
 
 let clear_offers state = state.st_offers <- []
-
-let offers state = state.st_offers
 
 let best_image state ~above =
   List.fold_left
@@ -221,12 +225,267 @@ let merge_marks state marks =
       if last > cur then Hashtbl.replace state.st_marks client last)
     marks
 
-let fetching state = state.st_fetching
+let note_delivered state ~seq requests = state.st_recent <- (seq, requests) :: state.st_recent
 
-let fetch_anchor state = state.st_fetch_anchor
+let prune_delivered state ~upto =
+  let dropped, kept = List.partition (fun (o, _) -> o <= upto) state.st_recent in
+  state.st_recent <- kept;
+  List.concat_map snd dropped
 
-let begin_fetch state ~have =
-  state.st_fetching <- true;
-  state.st_fetch_anchor <- have
+let fetch_target state =
+  List.fold_left
+    (fun acc off ->
+      let acc =
+        match off.st_cert with Some c -> max acc c.Checkpoint.cp_seq | None -> acc
+      in
+      List.fold_left
+        (fun acc (e : Checkpoint.entry) -> max acc e.Checkpoint.e_o)
+        acc off.st_entries)
+    0 state.st_offers
 
-let end_fetch state = state.st_fetching <- false
+let entry_quorum ~f = function
+  | Quorum_counted _ -> 1
+  | Quorum_signed _ | Pair_endorsed _ -> f + 1
+
+let batch_entry (ctx : Context.t) alg ~o requests =
+  let batch = Batch.make requests in
+  ctx.Context.digest_charge (Batch.encoded_size batch);
+  { Checkpoint.e_o = o; e_digest = Batch.digest alg batch; e_requests = requests }
+
+let flip_first_byte s =
+  let b = Bytes.of_string s in
+  Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0xff));
+  Bytes.to_string b
+
+(* ------------------------------------------------- the shared lifecycle *)
+
+module type CORE = sig
+  type t
+
+  val ctx : t -> Context.t
+  val rcv : t -> state
+  val f : t -> int
+  val digest : t -> Sof_crypto.Digest_alg.t
+  val fault : t -> Fault.t
+  val scheme : t -> scheme
+  val envelope : t -> Message.body -> Message.envelope
+  val send : t -> dst:int -> Message.envelope -> unit
+  val multicast : t -> dsts:int list -> Message.envelope -> unit
+  val others : t -> int list
+  val adaptive : t -> bool
+  val timer_cap : t -> Sof_sim.Simtime.t
+  val fetch_retry_base : t -> Sof_sim.Simtime.t
+  val delivered : t -> int
+  val committed_tail : t -> base:int -> Checkpoint.entry list
+  val adopt_entry : t -> Checkpoint.entry -> unit
+  val move_to_image : t -> seq:int -> unit
+  val advance_delivery : t -> unit
+  val fence_minting : t -> unit
+end
+
+module Lifecycle (C : CORE) = struct
+  let span_close t phase seq = (C.ctx t).Context.emit (Context.Span_close { phase; seq })
+
+  (* Serve the stable checkpoint image (when the requester is behind it),
+     the retained delivered batches, and the committed-but-undelivered tail.
+     Delivered entries are served as the batch actually handed to the
+     service (duplicates already filtered) with the digest recomputed over
+     exactly those requests — correct processes filter identically, so
+     their digests agree and an entry quorum pins each entry down at the
+     requester.  A Byzantine responder can serve a corrupt image
+     ([Corrupt_checkpoint_image]), a lazily stale checkpoint
+     ([Stale_checkpoint]) or tampered entry digests ([Corrupt_wal_suffix]):
+     the first is rejected against the certified digest, the second loses
+     to fresher offers, the third fails the entry checks. *)
+  let serve_state_request t ~src ~have =
+    let rcv = C.rcv t in
+    let stable =
+      match C.fault t with
+      | Fault.Stale_checkpoint -> previous_stable rcv
+      | _ -> latest_stable rcv
+    in
+    let cert, image =
+      match stable with
+      | Some (c, img) when c.Checkpoint.cp_seq > have -> (Some c, img)
+      | Some _ | None -> (None, "")
+    in
+    let image =
+      match C.fault t with
+      | Fault.Corrupt_checkpoint_image when String.length image > 0 -> flip_first_byte image
+      | _ -> image
+    in
+    let base = match cert with Some c -> max have c.Checkpoint.cp_seq | None -> have in
+    let entries =
+      match C.fault t with
+      | Fault.Stale_checkpoint -> []
+      | _ ->
+        let delivered_entries =
+          List.filter_map
+            (fun (o, requests) ->
+              if o > base then Some (batch_entry (C.ctx t) (C.digest t) ~o requests)
+              else None)
+            rcv.st_recent
+        in
+        let tail = C.committed_tail t ~base in
+        List.sort
+          (fun (a : Checkpoint.entry) b -> Int.compare a.Checkpoint.e_o b.Checkpoint.e_o)
+          (delivered_entries @ tail)
+    in
+    let entries =
+      match C.fault t with
+      | Fault.Corrupt_wal_suffix ->
+        List.map
+          (fun (e : Checkpoint.entry) ->
+            match e.Checkpoint.e_digest with
+            | "" -> e
+            | d -> { e with Checkpoint.e_digest = flip_first_byte d })
+          entries
+      | _ -> entries
+    in
+    C.send t ~dst:src (C.envelope t (Message.State_response { cert; image; entries }))
+
+  let entry_ok t (e : Checkpoint.entry) =
+    let batch = Batch.make e.Checkpoint.e_requests in
+    (C.ctx t).Context.digest_charge (Batch.encoded_size batch);
+    String.equal (Batch.digest (C.digest t) batch) e.Checkpoint.e_digest
+
+  (* Install the best certified image above our delivery point, then the
+     contiguous entry suffix with [entry_quorum] matching claims per entry.
+     Transferred entries enter the log as committed and are delivered by the
+     normal in-sequence walk; no Committed event is re-emitted for them
+     (they were counted at their original commit). *)
+  let install_from_offers ?(announce = true) t ~entry_quorum =
+    let ctx = C.ctx t and rcv = C.rcv t in
+    let image_installed =
+      match best_image rcv ~above:(C.delivered t) with
+      | Some (cert, image, _) -> begin
+        match Checkpoint.unwrap_image image with
+        | None -> false (* digest-verified yet malformed: refuse quietly *)
+        | Some (snap, marks) ->
+          let seq = cert.Checkpoint.cp_seq in
+          ctx.Context.restore snap;
+          merge_marks rcv marks;
+          note_image rcv ~seq ~image;
+          if note_stable rcv ~cert ~image then
+            ctx.Context.emit
+              (Context.Checkpoint_stable { seq; digest = cert.Checkpoint.cp_digest });
+          C.move_to_image t ~seq;
+          true
+      end
+      | None -> false
+    in
+    let installed_at = C.delivered t in
+    let entries =
+      select_entries ~quorum:entry_quorum ~base:installed_at ~entry_ok:(entry_ok t) rcv
+    in
+    List.iter (C.adopt_entry t) entries;
+    if announce && (image_installed || entries <> []) then
+      ctx.Context.emit
+        (Context.State_transfer_installed
+           { seq = installed_at; entries = List.length entries });
+    C.advance_delivery t
+
+  (* The certificate (under the core's scheme) and the image bytes against
+     the certified digest; entries are checked one by one at install. *)
+  let offer_ok t ~cert ~image =
+    match cert with
+    | None -> true
+    | Some c ->
+      let ctx = C.ctx t in
+      ctx.Context.digest_charge (String.length image);
+      verify_cert
+        ~verify:(fun ~signer ~msg ~signature -> ctx.Context.verify_acc ~signer ~msg ~signature)
+        ~scheme:(C.scheme t) c
+      && String.equal (Checkpoint.image_digest (C.digest t) image) c.Checkpoint.cp_digest
+
+  (* Local-first recovery: the locally persisted checkpoint image and WAL
+     entry suffix enter as a synthetic self-offer, verified exactly like a
+     peer's State_response.  Entry quorum 1: the replica vouches only for
+     its own log, and the digest checks exclude any torn or tampered suffix
+     entry by entry.  The install stays silent — the harness announces a
+     local replay as [Wal_replayed], keeping transfer accounting honest. *)
+  let recover_local t ~cert ~image ~entries =
+    let ctx = C.ctx t and rcv = C.rcv t in
+    let before = C.delivered t in
+    if not (offer_ok t ~cert ~image) then begin
+      ctx.Context.emit (Context.State_transfer_rejected { from = ctx.Context.id });
+      false
+    end
+    else begin
+      clear_offers rcv;
+      add_offer rcv
+        { st_from = ctx.Context.id; st_cert = cert; st_image = image; st_entries = entries };
+      install_from_offers ~announce:false t ~entry_quorum:1;
+      clear_offers rcv;
+      C.fence_minting t;
+      C.delivered t > before
+    end
+
+  let attempt_install t =
+    install_from_offers t ~entry_quorum:(entry_quorum ~f:(C.f t) (C.scheme t))
+
+  (* End the fetch only after offers from f+1 distinct responders (so at
+     least one is honest) all fall at or below what we have delivered: a
+     single early "nothing above your watermark" reply — a peer that is
+     itself recovering, or one whose stable checkpoint we already hold —
+     must not end the fetch before a helpful offer arrives. *)
+  let maybe_end_fetch t =
+    let rcv = C.rcv t in
+    if
+      rcv.st_fetching
+      && List.length rcv.st_offers > C.f t
+      && C.delivered t >= fetch_target rcv
+    then begin
+      span_close t Context.Recovery_phase rcv.st_fetch_anchor;
+      rcv.st_fetching <- false;
+      (match rcv.st_fetch_timer with Some h -> h.Context.cancel () | None -> ());
+      rcv.st_fetch_timer <- None;
+      rcv.st_fetch_backoff <- 0;
+      clear_offers rcv
+    end
+
+  let rec fetch_tick t =
+    let rcv = C.rcv t in
+    if rcv.st_fetching then begin
+      clear_offers rcv;
+      C.multicast t ~dsts:(C.others t)
+        (C.envelope t (Message.State_request { have = C.delivered t }));
+      let base = C.fetch_retry_base t in
+      let delay =
+        if C.adaptive t then begin
+          let d =
+            Sof_net.Delay_estimator.backed_off base ~level:rcv.st_fetch_backoff
+              ~cap:(C.timer_cap t)
+          in
+          rcv.st_fetch_backoff <- rcv.st_fetch_backoff + 1;
+          d
+        end
+        else base
+      in
+      rcv.st_fetch_timer <-
+        Some ((C.ctx t).Context.set_timer ~delay (fun () -> fetch_tick t))
+    end
+
+  let request_recovery t =
+    let ctx = C.ctx t and rcv = C.rcv t in
+    if not rcv.st_fetching then begin
+      let have = C.delivered t in
+      rcv.st_fetching <- true;
+      rcv.st_fetch_anchor <- have;
+      ctx.Context.emit (Context.State_transfer_started { have });
+      ctx.Context.emit (Context.Span_open { phase = Context.Recovery_phase; seq = have });
+      fetch_tick t
+    end
+
+  let handle_state_response t ~src ~cert ~image ~entries =
+    let rcv = C.rcv t in
+    if rcv.st_fetching then begin
+      if not (offer_ok t ~cert ~image) then
+        (C.ctx t).Context.emit (Context.State_transfer_rejected { from = src })
+      else begin
+        add_offer rcv { st_from = src; st_cert = cert; st_image = image; st_entries = entries };
+        attempt_install t;
+        maybe_end_fetch t
+      end
+    end
+end

@@ -3,9 +3,11 @@
     The protocol-independent half of checkpoint/recovery: how certificates
     are verified under each protocol's trust model, how checkpoint votes are
     tallied into proofs, and how a recovering replica picks what to install
-    from the (possibly partly Byzantine) state-transfer offers it collected.
+    from the (possibly partly Byzantine) state-transfer offers it collected
+    — the whole state-transfer and local-recovery lifecycle ({!Lifecycle}).
     The protocol modules own the other half — when to snapshot, who proposes
-    or endorses a checkpoint, how transferred entries enter the order log.
+    or endorses a checkpoint, and the {!CORE} seams: how they sign and send,
+    what they can serve, how transferred entries enter their order log.
 
     Trust models:
     - BFT certifies with 2f+1 signatures ({!Quorum_signed}) — at least f+1
@@ -61,18 +63,10 @@ module Tally : sig
   (** Drop votes at or below [upto] (sequence numbers already stable). *)
 end
 
-type offer = {
-  st_from : int;  (** Responder (transport source, not envelope creator). *)
-  st_cert : Checkpoint.cert option;
-  st_image : string;
-  st_entries : Checkpoint.entry list;
-}
-(** One [State_response], as recorded after the receiving protocol verified
-    the certificate and image digest (offers failing those checks are
-    rejected before they get here). *)
-
 (** Per-process checkpoint/recovery bookkeeping, embedded in each protocol
-    state record. *)
+    state record: boundary images, the checkpoint tally, stable
+    checkpoints, delivery marks, the retained delivered batches, and the
+    state-transfer fetch (offers, retry timer and backoff). *)
 type state
 
 val create : unit -> state
@@ -93,29 +87,22 @@ val note_stable : state -> cert:Checkpoint.cert -> image:string -> bool
     [Stale_checkpoint] adversary serves. *)
 
 val latest_stable : state -> (Checkpoint.cert * string) option
-val previous_stable : state -> (Checkpoint.cert * string) option
 
 val stable_seq : state -> int
 (** Sequence number of the latest stable checkpoint, 0 when none. *)
 
-val add_offer : state -> offer -> unit
-(** Record a state-transfer offer, replacing any earlier offer from the same
-    responder. *)
+val note_delivered : state -> seq:int -> Sof_smr.Request.t list -> unit
+(** Retain a delivered batch (exactly the requests handed to the service)
+    to serve state transfer.  Cores call it only with checkpointing on. *)
 
-val clear_offers : state -> unit
-val offers : state -> offer list
+val prune_delivered : state -> upto:int -> Sof_smr.Request.t list
+(** Drop the retained batches at or below [upto] and return their
+    requests, so the core can forget their keys. *)
 
-val best_image : state -> above:int -> (Checkpoint.cert * string * int) option
-(** Among collected offers, the certified image with the highest checkpoint
-    sequence number strictly above [above]: (certificate, image, responder). *)
-
-val select_entries :
-  quorum:int -> base:int -> entry_ok:(Checkpoint.entry -> bool) -> state -> Checkpoint.entry list
-(** The longest contiguous log suffix starting at [base + 1] such that each
-    entry's (sequence, digest) is claimed by at least [quorum] distinct
-    responders and the chosen entry body passes [entry_ok] (digest
-    recomputation).  With [quorum] covering at least one correct responder,
-    no fabricated entry survives. *)
+val batch_entry :
+  Context.t -> Sof_crypto.Digest_alg.t -> o:int -> Sof_smr.Request.t list -> Checkpoint.entry
+(** A state-transfer entry for these requests at sequence [o], with the
+    batch digest recomputed (and its hashing charged to the context). *)
 
 (** {2 Per-client delivery marks}
 
@@ -141,7 +128,99 @@ val marks : state -> (int * int) list
 val merge_marks : state -> (int * int) list -> unit
 (** Max-merge marks from an installed checkpoint image into local state. *)
 
-val fetching : state -> bool
-val fetch_anchor : state -> int
-val begin_fetch : state -> have:int -> unit
-val end_fetch : state -> unit
+(** {2 The state-transfer and local-recovery lifecycle}
+
+    One implementation under all four cores.  A recovering process
+    multicasts [State_request { have }] and collects offers, retrying with
+    a fresh request every retry period (doubled per unproductive retry
+    under adaptive timing, capped).  Each offer is checked before it is
+    recorded: the certificate under the core's {!scheme}, then the image
+    bytes against the certified digest; a failing offer is announced as
+    [State_transfer_rejected].  After every recorded offer the process
+    installs the best certified image above its delivery point and then
+    the longest contiguous entry suffix whose entries each carry
+    {!entry_quorum} matching claims and pass digest recomputation.  The
+    fetch ends only after offers from f+1 distinct responders (so at least
+    one is honest) promise nothing beyond what is now delivered.
+
+    Local-first recovery replays the persisted checkpoint and WAL suffix as
+    a synthetic self-offer through the same checks, with entry quorum 1. *)
+
+(** What a core supplies: its trust model, how it signs and sends, and the
+    few places where transferred state meets its own order log. *)
+module type CORE = sig
+  type t
+
+  val ctx : t -> Context.t
+  val rcv : t -> state
+  val f : t -> int
+  val digest : t -> Sof_crypto.Digest_alg.t
+
+  val fault : t -> Fault.t
+  (** Drives the responder faults [Corrupt_checkpoint_image],
+      [Stale_checkpoint] and [Corrupt_wal_suffix]. *)
+
+  val scheme : t -> scheme
+
+  val envelope : t -> Message.body -> Message.envelope
+  (** Signed, or unsigned under CT's crash-only model. *)
+
+  val send : t -> dst:int -> Message.envelope -> unit
+  val multicast : t -> dsts:int list -> Message.envelope -> unit
+  (** Both silenced while the core may not transmit. *)
+
+  val others : t -> int list
+  val adaptive : t -> bool
+  val timer_cap : t -> Sof_sim.Simtime.t
+
+  val fetch_retry_base : t -> Sof_sim.Simtime.t
+  (** Retry period of a fetch before any backoff. *)
+
+  val delivered : t -> int
+
+  val committed_tail : t -> base:int -> Checkpoint.entry list
+  (** Committed-but-undelivered entries above [base] (and above the
+      delivery point) that the core can serve with full request bodies. *)
+
+  val adopt_entry : t -> Checkpoint.entry -> unit
+  (** Enter a transferred entry into the order log as committed (no-op
+      when that sequence number already committed locally); its requests
+      become pending so the in-sequence walk can deliver them. *)
+
+  val move_to_image : t -> seq:int -> unit
+  (** The core now stands at an installed image certified at [seq]: set
+      the delivery point and max-committed, then truncate. *)
+
+  val advance_delivery : t -> unit
+
+  val fence_minting : t -> unit
+  (** Never mint at or below max-committed again (after local recovery a
+      fresh order under a restored sequence number could strand below the
+      delivery point or conflict with an absorbed entry). *)
+end
+
+val entry_quorum : f:int -> scheme -> int
+(** Matching claims a transferred entry needs: f+1 under the Byzantine
+    schemes (one claimant is correct), 1 under crash-only
+    {!Quorum_counted} (every responder is correct). *)
+
+module Lifecycle (C : CORE) : sig
+  val serve_state_request : C.t -> src:int -> have:int -> unit
+  (** Answer a [State_request]: the stable checkpoint when the requester
+      is behind it, retained delivered batches and the committed tail
+      above what it has — or the responder fault's distortion of these. *)
+
+  val handle_state_response :
+    C.t -> src:int -> cert:Checkpoint.cert option -> image:string ->
+    entries:Checkpoint.entry list -> unit
+  (** Check, record and try to install one offer; ignored unless fetching. *)
+
+  val request_recovery : C.t -> unit
+  (** Start a fetch; idempotent while one is in flight. *)
+
+  val recover_local :
+    C.t -> cert:Checkpoint.cert option -> image:string ->
+    entries:Checkpoint.entry list -> bool
+  (** Install locally persisted state as a verified self-offer; whether
+      delivery advanced. *)
+end

@@ -97,22 +97,14 @@ type t = {
   mutable vc_span : int option;
   (* checkpointing and state transfer *)
   rcv : Recovery.state;
-  mutable recent_delivered : (int * Request.t list) list;
-      (* delivered batches retained for serving state transfer, newest first;
-         pruned one interval behind the stable checkpoint.  Only maintained
-         when checkpointing is on. *)
   mutable ckpt_proposals : (Message.envelope * int * string) list;
       (* phase-1 checkpoint proposals from this pair's primary, stashed by
          the shadow until its own boundary image for that seq exists *)
   mutable ckpt_certs : Checkpoint.cert list;
       (* verified certificates awaiting this process's own boundary image *)
-  mutable fetch_timer : Context.timer option;
   (* adaptive timing (Config.Adaptive only; untouched in Static mode so
      seeded static runs keep the exact stream layout) *)
-  ests : Estimator.t option array;  (* per-peer RTT estimators, lazy *)
-  probe_accepted : int array;  (* highest reply nonce accepted per peer *)
-  mutable probe_nonce : int;
-  mutable fetch_backoff : int;  (* doublings applied to fetch retries *)
+  rtt : Sof_net.Peer_rtt.t;
   mutable shadow_watch_level : int;  (* doublings on the shadow's stall budget *)
   mutable hb_level : int;  (* doublings on the heartbeat silence tolerance *)
   mutable stash_retry_armed : bool;
@@ -198,18 +190,10 @@ let authentic t (env : Message.envelope) =
 let adaptive t =
   match t.config.Config.timing with Config.Adaptive -> true | Config.Static -> false
 
-let est_for t peer =
-  match t.ests.(peer) with
-  | Some e -> e
-  | None ->
-    let e = Estimator.create ~initial:t.config.Config.pair_delay_estimate () in
-    t.ests.(peer) <- Some e;
-    e
-
 let pair_estimate t =
   match (t.config.Config.timing, t.counterpart) with
   | Config.Static, _ | _, None -> t.config.Config.pair_delay_estimate
-  | Config.Adaptive, Some cp -> Estimator.timeout (est_for t cp)
+  | Config.Adaptive, Some cp -> Estimator.timeout (Sof_net.Peer_rtt.estimator t.rtt cp)
 
 let timer_cap t = Simtime.ns (64 * Simtime.to_ns t.config.Config.pair_delay_estimate)
 
@@ -224,16 +208,9 @@ let can_back_off t ~level =
   adaptive t && Simtime.compare (budget_at t ~level) (timer_cap t) < 0
 
 let send_probe t dst =
-  t.probe_nonce <- t.probe_nonce + 1;
+  let nonce = Sof_net.Peer_rtt.next_nonce t.rtt in
   let at = Simtime.to_ns (t.ctx.Context.now ()) in
-  send t ~dst (make_signed t (Message.Probe { nonce = t.probe_nonce; at }))
-
-let note_probe_reply t ~src ~nonce ~at =
-  if adaptive t && nonce > t.probe_accepted.(src) then begin
-    t.probe_accepted.(src) <- nonce;
-    Estimator.observe (est_for t src)
-      (Simtime.diff (t.ctx.Context.now ()) (Simtime.ns at))
-  end
+  send t ~dst (make_signed t (Message.Probe { nonce; at }))
 
 let doubly_signed_by_pair t ~rank (env : Message.envelope) =
   match env.Message.endorsement with
@@ -378,18 +355,12 @@ let truncate t upto =
   List.iter (Hashtbl.remove t.orders) stale;
   (* Keep one extra interval of delivered keys so a primary installed late
      that re-orders a just-delivered request is still deduplicated. *)
-  let keep_above = upto - t.config.Config.checkpoint_interval in
-  let dropped, kept = List.partition (fun (o, _) -> o <= keep_above) t.recent_delivered in
   List.iter
-    (fun (_, requests) ->
-      List.iter
-        (fun (req : Request.t) ->
-          t.delivered_keys <- Key_set.remove req.Request.key t.delivered_keys;
-          t.ordered_keys <- Key_set.remove req.Request.key t.ordered_keys;
-          t.executed <- Key_map.remove req.Request.key t.executed)
-        requests)
-    dropped;
-  t.recent_delivered <- kept;
+    (fun (req : Request.t) ->
+      t.delivered_keys <- Key_set.remove req.Request.key t.delivered_keys;
+      t.ordered_keys <- Key_set.remove req.Request.key t.ordered_keys;
+      t.executed <- Key_map.remove req.Request.key t.executed)
+    (Recovery.prune_delivered t.rcv ~upto:(upto - t.config.Config.checkpoint_interval));
   t.ctx.Context.emit (Context.Log_truncated { upto; retained = Hashtbl.length t.orders })
 
 (* A verified certificate becomes stable here once our own boundary image
@@ -479,7 +450,7 @@ let rec advance_delivery t =
       t.ctx.Context.deliver ~seq:st.o batch;
       t.ctx.Context.emit (Context.Delivered { seq = st.o; batch });
       if t.config.Config.checkpoint_interval > 0 then begin
-        t.recent_delivered <- (st.o, []) :: t.recent_delivered;
+        Recovery.note_delivered t.rcv ~seq:st.o [];
         if Checkpoint.is_boundary ~interval:t.config.Config.checkpoint_interval st.o then
           checkpoint_boundary t st.o
       end;
@@ -515,7 +486,7 @@ let rec advance_delivery t =
         t.ctx.Context.deliver ~seq:st.o batch;
         t.ctx.Context.emit (Context.Delivered { seq = st.o; batch });
         if t.config.Config.checkpoint_interval > 0 then begin
-          t.recent_delivered <- (st.o, requests) :: t.recent_delivered;
+          Recovery.note_delivered t.rcv ~seq:st.o requests;
           if Checkpoint.is_boundary ~interval:t.config.Config.checkpoint_interval st.o then
             checkpoint_boundary t st.o
         end;
@@ -600,288 +571,65 @@ let accept_order t (env : Message.envelope) ~v ~(info : Message.order_info) =
 
 (* --------------------------------------------- state transfer (SCR) *)
 
-(* Serve the stable checkpoint image (when the requester is behind it), the
-   retained delivered batches, and the committed-but-undelivered tail.  Every
-   entry digest is recomputed over exactly the requests served — correct
-   processes deliver identical filtered batches, so their recomputed digests
-   agree and f+1 matching claims pin each entry down at the requester.  A
-   Byzantine responder can serve a corrupt image ([Corrupt_checkpoint_image])
-   or a lazily stale checkpoint ([Stale_checkpoint]); the first is rejected
-   against the certified digest, the second simply loses to fresher offers. *)
-let serve_state_request t ~src ~have =
-  let stable =
-    match t.fault with
-    | Fault.Stale_checkpoint -> Recovery.previous_stable t.rcv
-    | _ -> Recovery.latest_stable t.rcv
-  in
-  let cert, image =
-    match stable with
-    | Some (c, img) when c.Checkpoint.cp_seq > have -> (Some c, img)
-    | Some _ | None -> (None, "")
-  in
-  let image =
-    match t.fault with
-    | Fault.Corrupt_checkpoint_image when String.length image > 0 ->
-      let b = Bytes.of_string image in
-      Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0xff));
-      Bytes.to_string b
-    | _ -> image
-  in
-  let base = match cert with Some c -> max have c.Checkpoint.cp_seq | None -> have in
-  let entries =
-    match t.fault with
-    | Fault.Stale_checkpoint -> []
-    | _ ->
-      let delivered_entries =
-        List.filter_map
-          (fun (o, requests) ->
-            if o > base then begin
-              let batch = Batch.make requests in
-              t.ctx.Context.digest_charge (Batch.encoded_size batch);
-              Some
-                {
-                  Checkpoint.e_o = o;
-                  e_digest = Batch.digest t.config.Config.digest batch;
-                  e_requests = requests;
-                }
-            end
-            else None)
-          t.recent_delivered
-      in
-      let tail =
-        Hashtbl.fold
-          (fun o st acc ->
-            if o <= t.delivered || o <= base || not st.committed then acc
-            else begin
-              let requests =
-                List.filter_map (fun k -> Key_map.find_opt k t.pending) st.keys
-              in
-              if Int.equal (List.length requests) (List.length st.keys) then begin
-                let batch = Batch.make requests in
-                t.ctx.Context.digest_charge (Batch.encoded_size batch);
-                {
-                  Checkpoint.e_o = o;
-                  e_digest = Batch.digest t.config.Config.digest batch;
-                  e_requests = requests;
-                }
-                :: acc
-              end
-              else acc
-            end)
-          t.orders []
-      in
-      List.sort
-        (fun (a : Checkpoint.entry) b -> Int.compare a.Checkpoint.e_o b.Checkpoint.e_o)
-        (delivered_entries @ tail)
-  in
-  (* A Byzantine responder serving from a tampered local log: the checkpoint
-     is genuine but every entry digest is flipped, so no entry matches its
-     recomputed batch digest and the requester's entry checks exclude the
-     whole suffix. *)
-  let entries =
-    match t.fault with
-    | Fault.Corrupt_wal_suffix ->
-      List.map
-        (fun (e : Checkpoint.entry) ->
-          match e.Checkpoint.e_digest with
-          | "" -> e
-          | d ->
-            let b = Bytes.of_string d in
-            Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0xff));
-            { e with Checkpoint.e_digest = Bytes.to_string b })
-        entries
-    | _ -> entries
-  in
-  send t ~dst:src (make_signed t (Message.State_response { cert; image; entries }))
+module Lifecycle = Recovery.Lifecycle (struct
+  type nonrec t = t
 
-let entry_ok t (e : Checkpoint.entry) =
-  let batch = Batch.make e.Checkpoint.e_requests in
-  t.ctx.Context.digest_charge (Batch.encoded_size batch);
-  String.equal (Batch.digest t.config.Config.digest batch) e.Checkpoint.e_digest
+  let ctx t = t.ctx
+  let rcv t = t.rcv
+  let f t = t.config.Config.f
+  let digest t = t.config.Config.digest
+  let fault t = t.fault
+  let scheme = ckpt_scheme
+  let envelope = make_signed
+  let send = send
+  let multicast = multicast
+  let others = others
+  let adaptive = adaptive
+  let timer_cap = timer_cap
+  let fetch_retry_base t = Simtime.add t.config.Config.heartbeat_interval (pair_estimate t)
+  let delivered t = t.delivered
 
-(* Install the best certified image above our delivery point, then the
-   contiguous entry suffix with f+1 matching claims per entry (at least one
-   claimant is correct).  Transferred entries enter the log as committed and
-   are delivered by the normal in-sequence walk; no Committed event is
-   re-emitted for them. *)
-let install_from_offers ?(announce = true) t ~entry_quorum =
-  let image_installed =
-    match Recovery.best_image t.rcv ~above:t.delivered with
-    | Some (cert, image, _) -> begin
-      match Checkpoint.unwrap_image image with
-      | None -> false (* digest-verified yet malformed: refuse quietly *)
-      | Some (snap, marks) ->
-        t.ctx.Context.restore snap;
-        Recovery.merge_marks t.rcv marks;
-        t.delivered <- cert.Checkpoint.cp_seq;
-        if t.max_committed < cert.Checkpoint.cp_seq then
-          t.max_committed <- cert.Checkpoint.cp_seq;
-        Recovery.note_image t.rcv ~seq:cert.Checkpoint.cp_seq ~image;
-        if Recovery.note_stable t.rcv ~cert ~image then
-          t.ctx.Context.emit
-            (Context.Checkpoint_stable
-               { seq = cert.Checkpoint.cp_seq; digest = cert.Checkpoint.cp_digest });
-        truncate t cert.Checkpoint.cp_seq;
-        true
+  let committed_tail t ~base =
+    Hashtbl.fold
+      (fun o st acc ->
+        if o <= t.delivered || o <= base || not st.committed then acc
+        else
+          let requests = List.filter_map (fun k -> Key_map.find_opt k t.pending) st.keys in
+          if Int.equal (List.length requests) (List.length st.keys) then
+            Recovery.batch_entry t.ctx t.config.Config.digest ~o requests :: acc
+          else acc)
+      t.orders []
+
+  let adopt_entry t (e : Checkpoint.entry) =
+    let st = get_order t e.Checkpoint.e_o in
+    if not st.committed then begin
+      st.have_order <- true;
+      st.digest <- e.Checkpoint.e_digest;
+      st.keys <- List.map (fun (r : Request.t) -> r.Request.key) e.Checkpoint.e_requests;
+      if e.Checkpoint.e_requests = [] then st.null <- true;
+      st.committed <- true;
+      List.iter
+        (fun (r : Request.t) ->
+          t.ordered_keys <- Key_set.add r.Request.key t.ordered_keys;
+          if
+            (not (Key_map.mem r.Request.key t.pending))
+            && not (Key_set.mem r.Request.key t.delivered_keys)
+          then t.pending <- Key_map.add r.Request.key r t.pending)
+        e.Checkpoint.e_requests;
+      if st.o > t.max_committed then t.max_committed <- st.o
     end
-    | None -> false
-  in
-  let installed_at = t.delivered in
-  let entries =
-    Recovery.select_entries ~quorum:entry_quorum ~base:t.delivered
-      ~entry_ok:(entry_ok t) t.rcv
-  in
-  List.iter
-    (fun (e : Checkpoint.entry) ->
-      let st = get_order t e.Checkpoint.e_o in
-      if not st.committed then begin
-        st.have_order <- true;
-        st.digest <- e.Checkpoint.e_digest;
-        st.keys <- List.map (fun (r : Request.t) -> r.Request.key) e.Checkpoint.e_requests;
-        if e.Checkpoint.e_requests = [] then st.null <- true;
-        st.committed <- true;
-        List.iter
-          (fun (r : Request.t) ->
-            t.ordered_keys <- Key_set.add r.Request.key t.ordered_keys;
-            if
-              (not (Key_map.mem r.Request.key t.pending))
-              && not (Key_set.mem r.Request.key t.delivered_keys)
-            then t.pending <- Key_map.add r.Request.key r t.pending)
-          e.Checkpoint.e_requests;
-        if st.o > t.max_committed then t.max_committed <- st.o
-      end)
-    entries;
-  if announce && (image_installed || entries <> []) then
-    t.ctx.Context.emit
-      (Context.State_transfer_installed
-         { seq = installed_at; entries = List.length entries });
-  advance_delivery t
 
-let attempt_install t = install_from_offers t ~entry_quorum:(t.config.Config.f + 1)
+  let move_to_image t ~seq =
+    t.delivered <- seq;
+    if t.max_committed < seq then t.max_committed <- seq;
+    truncate t seq
 
-(* Local-first recovery: the locally persisted checkpoint image and WAL
-   entry suffix enter as a synthetic self-offer, verified exactly like a
-   peer's State_response — pair-endorsed certificate, image bytes against
-   the certified digest, each entry against its recomputed batch digest.
-   Entry quorum 1: the replica vouches only for its own log, and the
-   digest checks exclude any torn or tampered suffix entry-by-entry.
-   Returns whether delivery advanced; the caller escalates to peer repair
-   when it did not or the log was damaged. *)
-let recover_local t ~cert ~image ~entries =
-  let before = t.delivered in
-  let cert_ok =
-    match cert with
-    | None -> true
-    | Some c ->
-      t.ctx.Context.digest_charge (String.length image);
-      Recovery.verify_cert
-        ~verify:(fun ~signer ~msg ~signature ->
-          t.ctx.Context.verify_acc ~signer ~msg ~signature)
-        ~scheme:(ckpt_scheme t) c
-      && String.equal
-           (Checkpoint.image_digest t.config.Config.digest image)
-           c.Checkpoint.cp_digest
-  in
-  if not cert_ok then begin
-    t.ctx.Context.emit (Context.State_transfer_rejected { from = id t });
-    false
-  end
-  else begin
-    Recovery.clear_offers t.rcv;
-    Recovery.add_offer t.rcv
-      { Recovery.st_from = id t; st_cert = cert; st_image = image; st_entries = entries };
-    (* The synthetic self-offer is a local replay, not a peer transfer:
-       the harness announces it as [Wal_replayed], so the install stays
-       silent to keep transfer accounting honest. *)
-    install_from_offers ~announce:false t ~entry_quorum:1;
-    Recovery.clear_offers t.rcv;
-    (* A recovered process must never mint at or below what it just
-       restored: a fresh order under a committed sequence number could
-       strand below the delivery low-water mark or conflict with an
-       absorbed entry. *)
-    if t.next_seq <= t.max_committed then t.next_seq <- t.max_committed + 1;
-    t.delivered > before
-  end
+  let advance_delivery = advance_delivery
+  let fence_minting t = if t.next_seq <= t.max_committed then t.next_seq <- t.max_committed + 1
+end)
 
-let fetch_target t =
-  List.fold_left
-    (fun acc (off : Recovery.offer) ->
-      let acc =
-        match off.Recovery.st_cert with
-        | Some c -> max acc c.Checkpoint.cp_seq
-        | None -> acc
-      in
-      List.fold_left
-        (fun acc (e : Checkpoint.entry) -> max acc e.Checkpoint.e_o)
-        acc off.Recovery.st_entries)
-    0 (Recovery.offers t.rcv)
-
-(* End the fetch only after offers from f+1 distinct responders (so at
-   least one is honest) all fall at or below what we have delivered: a
-   single early "nothing above your watermark" reply must not terminate
-   the fetch before a helpful offer arrives. *)
-let maybe_end_fetch t =
-  if
-    Recovery.fetching t.rcv
-    && List.length (Recovery.offers t.rcv) > t.config.Config.f
-    && t.delivered >= fetch_target t
-  then begin
-    span_close t Context.Recovery_phase (Recovery.fetch_anchor t.rcv);
-    Recovery.end_fetch t.rcv;
-    (match t.fetch_timer with Some h -> h.Context.cancel () | None -> ());
-    t.fetch_timer <- None;
-    t.fetch_backoff <- 0;
-    Recovery.clear_offers t.rcv
-  end
-
-let rec fetch_tick t =
-  if Recovery.fetching t.rcv then begin
-    Recovery.clear_offers t.rcv;
-    multicast t ~dsts:(others t)
-      (make_signed t (Message.State_request { have = t.delivered }));
-    let base = Simtime.add t.config.Config.heartbeat_interval (pair_estimate t) in
-    let delay =
-      if adaptive t then begin
-        let d = Estimator.backed_off base ~level:t.fetch_backoff ~cap:(timer_cap t) in
-        t.fetch_backoff <- t.fetch_backoff + 1;
-        d
-      end
-      else base
-    in
-    t.fetch_timer <- Some (t.ctx.Context.set_timer ~delay (fun () -> fetch_tick t))
-  end
-
-let request_recovery t =
-  if not (Recovery.fetching t.rcv) then begin
-    Recovery.begin_fetch t.rcv ~have:t.delivered;
-    t.ctx.Context.emit (Context.State_transfer_started { have = t.delivered });
-    span_open t Context.Recovery_phase t.delivered;
-    fetch_tick t
-  end
-
-let handle_state_response t ~src ~cert ~image ~entries =
-  if Recovery.fetching t.rcv then begin
-    let cert_ok =
-      match cert with
-      | None -> true
-      | Some c ->
-        t.ctx.Context.digest_charge (String.length image);
-        Recovery.verify_cert
-          ~verify:(fun ~signer ~msg ~signature ->
-            t.ctx.Context.verify_acc ~signer ~msg ~signature)
-          ~scheme:(ckpt_scheme t) c
-        && String.equal
-             (Checkpoint.image_digest t.config.Config.digest image)
-             c.Checkpoint.cp_digest
-    in
-    if not cert_ok then t.ctx.Context.emit (Context.State_transfer_rejected { from = src })
-    else begin
-      Recovery.add_offer t.rcv
-        { Recovery.st_from = src; st_cert = cert; st_image = image; st_entries = entries };
-      attempt_install t;
-      maybe_end_fetch t
-    end
-  end
+let request_recovery = Lifecycle.request_recovery
+let recover_local = Lifecycle.recover_local
 
 (* ----------------------------------------------------- pair fail-signal *)
 
@@ -1639,14 +1387,18 @@ and on_message t ~src (env : Message.envelope) =
          will never come. *)
       if seq > t.delivered + t.config.Config.checkpoint_interval then request_recovery t
     end
-  | Message.State_request { have } -> if authentic t env then serve_state_request t ~src ~have
+  | Message.State_request { have } ->
+    if authentic t env then Lifecycle.serve_state_request t ~src ~have
   | Message.State_response { cert; image; entries } ->
-    if authentic t env then handle_state_response t ~src ~cert ~image ~entries
+    if authentic t env then Lifecycle.handle_state_response t ~src ~cert ~image ~entries
   | Message.Probe { nonce; at } ->
     (* Echo the sender's timestamp back; replies are liveness-only input so
        they need no verification beyond the estimator's nonce filter. *)
     if adaptive t then send t ~dst:src (make_signed t (Message.Probe_reply { nonce; at }))
-  | Message.Probe_reply { nonce; at } -> note_probe_reply t ~src ~nonce ~at
+  | Message.Probe_reply { nonce; at } ->
+    if adaptive t then
+      Sof_net.Peer_rtt.note_reply t.rtt ~src ~nonce
+        ~rtt:(Simtime.diff (t.ctx.Context.now ()) (Simtime.ns at))
   | Message.Back_log _ | Message.Start _ | Message.Start_ack _
   | Message.Start_tuples _ | Message.Pre_prepare _ | Message.Prepare _
   | Message.Commit _ | Message.Bft_view_change _ | Message.Bft_new_view _ ->
@@ -1744,14 +1496,11 @@ let create ~ctx ~config ?(fault = Fault.Honest) ?counterpart_fail_signal () =
     failover_span = None;
     vc_span = None;
     rcv = Recovery.create ();
-    recent_delivered = [];
     ckpt_proposals = [];
     ckpt_certs = [];
-    fetch_timer = None;
-    ests = Array.make (Config.process_count config) None;
-    probe_accepted = Array.make (Config.process_count config) 0;
-    probe_nonce = 0;
-    fetch_backoff = 0;
+    rtt =
+      Sof_net.Peer_rtt.create ~peers:(Config.process_count config)
+        ~initial:config.Config.pair_delay_estimate;
     shadow_watch_level = 0;
     hb_level = 0;
     stash_retry_armed = false;
