@@ -76,8 +76,10 @@ module Tally = struct
     List.iter (Hashtbl.remove t.votes) stale
 end
 
+(* One State_response, recorded only after its certificate and image
+   digest checked out (see [offer_ok]). *)
 type offer = {
-  st_from : int;
+  st_from : int;  (* responder: transport source, not envelope creator *)
   st_cert : Checkpoint.cert option;
   st_image : string;
   st_entries : Checkpoint.entry list;
@@ -151,6 +153,8 @@ let add_offer state offer =
 
 let clear_offers state = state.st_offers <- []
 
+(* Among collected offers, the certified image with the highest checkpoint
+   sequence number strictly above [above]: (certificate, image, responder). *)
 let best_image state ~above =
   List.fold_left
     (fun best off ->
@@ -163,6 +167,10 @@ let best_image state ~above =
       | Some _ | None -> best)
     None state.st_offers
 
+(* The longest contiguous log suffix from [base + 1] whose every entry's
+   digest is claimed by at least [quorum] distinct responders and whose
+   chosen body passes [entry_ok] (digest recomputation).  With [quorum]
+   covering at least one correct responder, no fabricated entry survives. *)
 let select_entries ~quorum ~base ~entry_ok state =
   let claims_at o =
     List.filter_map
@@ -232,6 +240,7 @@ let prune_delivered state ~upto =
   state.st_recent <- kept;
   List.concat_map snd dropped
 
+(* The highest sequence number any collected offer can take us to. *)
 let fetch_target state =
   List.fold_left
     (fun acc off ->
@@ -243,6 +252,9 @@ let fetch_target state =
         acc off.st_entries)
     0 state.st_offers
 
+(* Matching claims a transferred entry needs: f+1 under the Byzantine
+   schemes (one claimant is correct), 1 under crash-only [Quorum_counted]
+   (every responder is correct). *)
 let entry_quorum ~f = function
   | Quorum_counted _ -> 1
   | Quorum_signed _ | Pair_endorsed _ -> f + 1

@@ -138,8 +138,9 @@ val merge_marks : state -> (int * int) list -> unit
     bytes against the certified digest; a failing offer is announced as
     [State_transfer_rejected].  After every recorded offer the process
     installs the best certified image above its delivery point and then
-    the longest contiguous entry suffix whose entries each carry
-    {!entry_quorum} matching claims and pass digest recomputation.  The
+    the longest contiguous entry suffix whose entries each carry an entry
+    quorum of matching claims — f+1 under the Byzantine schemes, 1 under
+    crash-only {!Quorum_counted} — and pass digest recomputation.  The
     fetch ends only after offers from f+1 distinct responders (so at least
     one is honest) promise nothing beyond what is now delivered.
 
@@ -198,11 +199,6 @@ module type CORE = sig
       fresh order under a restored sequence number could strand below the
       delivery point or conflict with an absorbed entry). *)
 end
-
-val entry_quorum : f:int -> scheme -> int
-(** Matching claims a transferred entry needs: f+1 under the Byzantine
-    schemes (one claimant is correct), 1 under crash-only
-    {!Quorum_counted} (every responder is correct). *)
 
 module Lifecycle (C : CORE) : sig
   val serve_state_request : C.t -> src:int -> have:int -> unit
