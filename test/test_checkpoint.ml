@@ -400,6 +400,43 @@ let test_trajectories_pinned () =
         expected (trajectory_digest cluster))
     pinned_trajectories
 
+(* Backlog pin: SC/SCR/BFT/CT at 400 req/s, past SC's batch ceiling, with
+   f = 2 and default timing, once fault-free and once with process 0 crashed
+   at 2 s (SC/SCR fail-signals and an install; a BFT view change, which
+   re-stamps the pending arrivals).  The request pool's batch selection and
+   watchdog queries must leave these byte-identical. *)
+let backlog_run ~kind ~crash =
+  let cluster = Cluster.build (Cluster.default_spec ~kind ~f:2) in
+  Workload.install cluster (Workload.make ~rate_per_sec:400.0 ()) ~duration:(sec 4);
+  if crash then begin
+    Cluster.run cluster ~until:(sec 2);
+    Cluster.crash cluster 0
+  end;
+  Cluster.run cluster ~until:(sec 8);
+  cluster
+
+let pinned_backlog_trajectories =
+  [
+    (Cluster.Sc_protocol, false, "bb51af4a3186879b521ea5905a5fdb97");
+    (Cluster.Sc_protocol, true, "e512e7d0721387dee3677f8c748276ef");
+    (Cluster.Scr_protocol, false, "7a222208e5dd19b3d765687d58b597c7");
+    (Cluster.Scr_protocol, true, "c3f5f858c81cb4bdbda68133d049e6f7");
+    (Cluster.Bft_protocol, false, "416da202a7d43811a0f8d2f594042f58");
+    (Cluster.Bft_protocol, true, "781c5bc2bead74220c81920db1a22e96");
+    (Cluster.Ct_protocol, false, "3d25288c637e094fb87d4781b9f6a1b1");
+    (Cluster.Ct_protocol, true, "475f4c981c32fcdfe89f0a9ce67b448c");
+  ]
+
+let test_backlog_trajectories_pinned () =
+  List.iter
+    (fun (kind, crash, expected) ->
+      Alcotest.(check string)
+        (Printf.sprintf "%s backlog%s trajectory" (kind_name kind)
+           (if crash then " crashed" else ""))
+        expected
+        (trajectory_digest (backlog_run ~kind ~crash)))
+    pinned_backlog_trajectories
+
 (* Log truncation bounds memory: with checkpointing on, the retained order
    log never grows past a small multiple of the interval. *)
 let test_truncation_bounds_log () =
@@ -449,6 +486,8 @@ let suite =
         Alcotest.test_case "truncation bounds the log" `Slow test_truncation_bounds_log;
         Alcotest.test_case "crash-restart trajectories pinned" `Slow
           test_trajectories_pinned;
+        Alcotest.test_case "backlog trajectories pinned" `Slow
+          test_backlog_trajectories_pinned;
       ]
       @ lifecycle_cases );
   ]
