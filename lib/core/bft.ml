@@ -61,9 +61,7 @@ type t = {
   fault : Fault.t;
   all_ids : int list;
   mutable view : int;
-  mutable pending : Request.t Key_map.t;
-  mutable arrival : Simtime.t Key_map.t;
-  mutable ordered_keys : Key_set.t;
+  pool : Pool.t;
   mutable delivered_keys : Key_set.t;
   orders : (int, order_state) Hashtbl.t;
   mutable max_committed : int;
@@ -221,7 +219,7 @@ let truncate t upto =
   List.iter
     (fun (req : Request.t) ->
       t.delivered_keys <- Key_set.remove req.Request.key t.delivered_keys;
-      t.ordered_keys <- Key_set.remove req.Request.key t.ordered_keys)
+      Pool.unmark t.pool req.Request.key)
     (Recovery.prune_delivered t.rcv ~upto:(upto - t.config.checkpoint_interval));
   t.ctx.Context.emit (Context.Log_truncated { upto; retained = Hashtbl.length t.orders })
 
@@ -290,15 +288,14 @@ let rec advance_delivery t =
             && (t.config.checkpoint_interval = 0 || Recovery.fresh_key t.rcv k))
           st.keys
       in
-      let requests = List.filter_map (fun k -> Key_map.find_opt k t.pending) fresh in
+      let requests = List.filter_map (Pool.find t.pool) fresh in
       if Int.equal (List.length requests) (List.length fresh) then begin
         t.delivered <- st.o;
         List.iter
           (fun k ->
             t.delivered_keys <- Key_set.add k t.delivered_keys;
             if t.config.checkpoint_interval > 0 then Recovery.mark_delivered t.rcv k;
-            t.pending <- Key_map.remove k t.pending;
-            t.arrival <- Key_map.remove k t.arrival)
+            Pool.remove t.pool k)
           st.keys;
         let batch = Batch.make requests in
         t.ctx.Context.deliver ~seq:st.o batch;
@@ -396,7 +393,7 @@ let accept_pre_prepare t ~(info : Message.order_info) ~v =
     st.view_of <- v;
     st.digest <- info.Message.digest;
     st.keys <- info.Message.keys;
-    List.iter (fun k -> t.ordered_keys <- Key_set.add k t.ordered_keys) info.Message.keys;
+    List.iter (Pool.mark_ordered t.pool) info.Message.keys;
     send_prepare t st;
     try_prepared_point t st;
     try_commit_point t st
@@ -427,7 +424,7 @@ module Lifecycle = Recovery.Lifecycle (struct
       (fun o st acc ->
         if o <= t.delivered || o <= base || not st.committed then acc
         else
-          let requests = List.filter_map (fun k -> Key_map.find_opt k t.pending) st.keys in
+          let requests = List.filter_map (Pool.find t.pool) st.keys in
           if Int.equal (List.length requests) (List.length st.keys) then
             Recovery.batch_entry t.ctx t.config.digest ~o requests :: acc
           else acc)
@@ -442,11 +439,11 @@ module Lifecycle = Recovery.Lifecycle (struct
       st.committed <- true;
       List.iter
         (fun (r : Request.t) ->
-          t.ordered_keys <- Key_set.add r.Request.key t.ordered_keys;
+          Pool.mark_ordered t.pool r.Request.key;
           if
-            (not (Key_map.mem r.Request.key t.pending))
+            (not (Pool.mem t.pool r.Request.key))
             && not (Key_set.mem r.Request.key t.delivered_keys)
-          then t.pending <- Key_map.add r.Request.key r t.pending)
+          then Pool.add t.pool r)
         e.Checkpoint.e_requests;
       if st.o > t.max_committed then t.max_committed <- st.o
     end
@@ -496,9 +493,8 @@ let rec arm_batch_timer t =
 
 and batch_tick t =
   if i_am_primary t && not t.changing_view then begin
-    let pool = Key_map.filter (fun k _ -> not (Key_set.mem k t.ordered_keys)) t.pending in
-    if not (Key_map.is_empty pool) then begin
-      let requests = Batch.take_from_pool ~limit:t.config.batch_size_limit ~pool in
+    if Pool.has_unordered t.pool then begin
+      let requests = Pool.take_by_key t.pool ~limit:t.config.batch_size_limit in
       let batch = Batch.make requests in
       let o = t.next_seq in
       t.next_seq <- o + 1;
@@ -516,7 +512,7 @@ and batch_tick t =
       t.ctx.Context.emit
         (Context.Batched
            { seq = o; requests = Batch.request_count batch; bytes = Batch.encoded_size batch });
-      List.iter (fun k -> t.ordered_keys <- Key_set.add k t.ordered_keys) info.Message.keys;
+      List.iter (Pool.mark_ordered t.pool) info.Message.keys;
       issue_pre_prepare t info
     end;
     arm_batch_timer t
@@ -550,11 +546,7 @@ and vc_tick t =
   let now = t.ctx.Context.now () in
   let stalled =
     Simtime.compare (Simtime.add t.last_progress budget) now <= 0
-    && Key_map.exists
-         (fun k since ->
-           (not (Key_set.mem k t.ordered_keys))
-           && Simtime.compare (Simtime.add since budget) now <= 0)
-         t.arrival
+    && Pool.overdue t.pool ~budget ~now
   in
   if stalled && not t.changing_view then start_view_change t (t.view + 1);
   arm_vc_timer t
@@ -637,7 +629,7 @@ and enter_view t v pre_prepares =
   end;
   (* Give fresh grace to everything still pending. *)
   let now = t.ctx.Context.now () in
-  t.arrival <- Key_map.map (fun _ -> now) t.arrival
+  Pool.restamp t.pool now
 
 let handle_new_view t ~v ~pre_prepares (env : Message.envelope) =
   if v >= t.view && Int.equal env.Message.sender (v mod n t) then enter_view t v pre_prepares
@@ -646,10 +638,9 @@ let handle_new_view t ~v ~pre_prepares (env : Message.envelope) =
 
 let on_request t (req : Request.t) =
   let key = req.Request.key in
-  if not (Key_map.mem key t.pending) then begin
-    t.pending <- Key_map.add key req t.pending;
-    if not (Key_set.mem key t.ordered_keys) then
-      t.arrival <- Key_map.add key (t.ctx.Context.now ()) t.arrival;
+  if not (Pool.mem t.pool key) then begin
+    if Pool.is_ordered t.pool key then Pool.add t.pool req
+    else Pool.add t.pool ~arrival:(t.ctx.Context.now ()) req;
     advance_delivery t
   end
 
@@ -724,9 +715,7 @@ let create ~ctx ~config ?(fault = Fault.Honest) () =
     fault;
     all_ids = List.init (process_count config) Fun.id;
     view = 0;
-    pending = Key_map.empty;
-    arrival = Key_map.empty;
-    ordered_keys = Key_set.empty;
+    pool = Pool.create ();
     delivered_keys = Key_set.empty;
     orders = Hashtbl.create 64;
     max_committed = 0;

@@ -56,9 +56,7 @@ type t = {
   config : config;
   all_ids : int list;
   mutable epoch : int;  (* coordinator = epoch mod n *)
-  mutable pending : Request.t Key_map.t;
-  mutable arrival : Simtime.t Key_map.t;
-  mutable ordered_keys : Key_set.t;
+  pool : Pool.t;
   mutable delivered_keys : Key_set.t;
   orders : (int, order_state) Hashtbl.t;
   mutable max_committed : int;
@@ -206,7 +204,7 @@ let truncate t upto =
   List.iter
     (fun (req : Request.t) ->
       t.delivered_keys <- Key_set.remove req.Request.key t.delivered_keys;
-      t.ordered_keys <- Key_set.remove req.Request.key t.ordered_keys)
+      Pool.unmark t.pool req.Request.key)
     (Recovery.prune_delivered t.rcv ~upto:(upto - t.config.checkpoint_interval));
   t.ctx.Context.emit (Context.Log_truncated { upto; retained = Hashtbl.length t.orders })
 
@@ -273,7 +271,7 @@ let rec advance_delivery t =
               && (t.config.checkpoint_interval = 0 || Recovery.fresh_key t.rcv k))
             keys
         in
-        let requests = List.filter_map (fun k -> Key_map.find_opt k t.pending) fresh in
+        let requests = List.filter_map (Pool.find t.pool) fresh in
         if Int.equal (List.length requests) (List.length fresh) then begin
           t.delivered <- st.o;
           List.iter
@@ -281,8 +279,7 @@ let rec advance_delivery t =
               t.delivered_keys <- Key_set.add k t.delivered_keys;
               if t.config.checkpoint_interval > 0 then
                 Recovery.mark_delivered t.rcv k;
-              t.pending <- Key_map.remove k t.pending;
-              t.arrival <- Key_map.remove k t.arrival)
+              Pool.remove t.pool k)
             fresh;
           let batch = Batch.make requests in
           t.ctx.Context.deliver ~seq:st.o batch;
@@ -321,7 +318,7 @@ let try_commit t st =
           t.suspect_backoff <- 0;
           if st.o > t.max_committed then t.max_committed <- st.o;
           let keys = Option.value cand.c_keys ~default:[] in
-          List.iter (fun k -> t.ordered_keys <- Key_set.add k t.ordered_keys) keys;
+          List.iter (Pool.mark_ordered t.pool) keys;
           t.ctx.Context.emit (Context.Committed { seq = st.o; digest; keys })
         end)
       st.candidates;
@@ -362,9 +359,7 @@ let learn_candidate t (info : Message.order_info) =
   end;
   if cand.c_keys = None then cand.c_keys <- Some info.Message.keys;
   if not st.voted then
-    List.iter
-      (fun k -> t.ordered_keys <- Key_set.add k t.ordered_keys)
-      info.Message.keys;
+    List.iter (Pool.mark_ordered t.pool) info.Message.keys;
   vote t st info.Message.digest cand;
   (st, cand)
 
@@ -405,7 +400,7 @@ module Lifecycle = Recovery.Lifecycle (struct
           | Some digest -> (
             match Hashtbl.find_opt st.candidates digest with
             | Some { c_keys = Some keys; _ } ->
-              let requests = List.filter_map (fun k -> Key_map.find_opt k t.pending) keys in
+              let requests = List.filter_map (Pool.find t.pool) keys in
               if Int.equal (List.length requests) (List.length keys) then
                 { Checkpoint.e_o = o; e_digest = digest; e_requests = requests } :: acc
               else acc
@@ -423,11 +418,11 @@ module Lifecycle = Recovery.Lifecycle (struct
       if cand.c_keys = None then cand.c_keys <- Some keys;
       List.iter
         (fun (r : Request.t) ->
-          t.ordered_keys <- Key_set.add r.Request.key t.ordered_keys;
+          Pool.mark_ordered t.pool r.Request.key;
           if
-            (not (Key_map.mem r.Request.key t.pending))
+            (not (Pool.mem t.pool r.Request.key))
             && not (Key_set.mem r.Request.key t.delivered_keys)
-          then t.pending <- Key_map.add r.Request.key r t.pending)
+          then Pool.add t.pool r)
         e.Checkpoint.e_requests;
       st.winner <- Some e.Checkpoint.e_digest;
       if st.o > t.max_committed then t.max_committed <- st.o
@@ -463,8 +458,7 @@ let rec arm_batch_timer t =
 
 and batch_tick t =
   if i_am_coordinator t then begin
-    let pool = Key_map.filter (fun k _ -> not (Key_set.mem k t.ordered_keys)) t.pending in
-    if not (Key_map.is_empty pool) then
+    if Pool.has_unordered t.pool then
       if t.sync_pending || not (quorum_contact t) then begin
         (* Probe instead of minting; peers answer with their candidate
            backlog, so minting resumes once the network heals even when no
@@ -489,7 +483,7 @@ and batch_tick t =
         while Hashtbl.mem t.orders t.next_seq do
           t.next_seq <- t.next_seq + 1
         done;
-        let requests = Batch.take_from_pool ~limit:t.config.batch_size_limit ~pool in
+        let requests = Pool.take_by_key t.pool ~limit:t.config.batch_size_limit in
         let batch = Batch.make requests in
         let o = t.next_seq in
         t.next_seq <- o + 1;
@@ -500,7 +494,7 @@ and batch_tick t =
         t.ctx.Context.emit
           (Context.Batched
              { seq = o; requests = Batch.request_count batch; bytes = Batch.encoded_size batch });
-        List.iter (fun k -> t.ordered_keys <- Key_set.add k t.ordered_keys) info.Message.keys;
+        List.iter (Pool.mark_ordered t.pool) info.Message.keys;
         let body = Message.Order { c = t.epoch; info } in
         t.ctx.Context.multicast ~dsts:(others t) (unsigned t body);
         accept_order t ~sender:(id t) ~info
@@ -523,18 +517,14 @@ and suspect_tick t =
   let now = t.ctx.Context.now () in
   let stalled =
     Simtime.compare (Simtime.add t.last_progress budget) now <= 0
-    && Key_map.exists
-         (fun k since ->
-           (not (Key_set.mem k t.ordered_keys))
-           && Simtime.compare (Simtime.add since budget) now <= 0)
-         t.arrival
+    && Pool.overdue t.pool ~budget ~now
   in
   if stalled then begin
     t.last_progress <- now;
     t.suspect_backoff <- t.suspect_backoff + 1;
     t.epoch <- t.epoch + 1;
     (* Refresh arrivals so the next coordinator gets a full grace period. *)
-    t.arrival <- Key_map.map (fun _ -> now) t.arrival;
+    Pool.restamp t.pool now;
     if i_am_coordinator t then begin
       (* Sync with a quorum before minting anything; [next_seq] is
          recomputed when the sync completes. *)
@@ -548,10 +538,9 @@ and suspect_tick t =
 
 let on_request t (req : Request.t) =
   let key = req.Request.key in
-  if not (Key_map.mem key t.pending) then begin
-    t.pending <- Key_map.add key req t.pending;
-    if not (Key_set.mem key t.ordered_keys) then
-      t.arrival <- Key_map.add key (t.ctx.Context.now ()) t.arrival;
+  if not (Pool.mem t.pool key) then begin
+    if Pool.is_ordered t.pool key then Pool.add t.pool req
+    else Pool.add t.pool ~arrival:(t.ctx.Context.now ()) req;
     advance_delivery t
   end
 
@@ -675,9 +664,7 @@ let create ~ctx ~config =
     config;
     all_ids = List.init (process_count config) Fun.id;
     epoch = 0;
-    pending = Key_map.empty;
-    arrival = Key_map.empty;
-    ordered_keys = Key_set.empty;
+    pool = Pool.create ();
     delivered_keys = Key_set.empty;
     orders = Hashtbl.create 64;
     max_committed = 0;

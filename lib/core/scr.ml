@@ -53,9 +53,7 @@ type t = {
   mutable heartbeat_timer : Context.timer option;
   mutable beat : int;
   (* requests *)
-  mutable pending : Request.t Key_map.t;
-  mutable arrival : Simtime.t Key_map.t;
-  mutable ordered_keys : Key_set.t;
+  pool : Pool.t;
   mutable delivered_keys : Key_set.t;
   mutable view_ordered_keys : Key_set.t;
       (* keys ordered under the current view, for the shadow's
@@ -358,7 +356,7 @@ let truncate t upto =
   List.iter
     (fun (req : Request.t) ->
       t.delivered_keys <- Key_set.remove req.Request.key t.delivered_keys;
-      t.ordered_keys <- Key_set.remove req.Request.key t.ordered_keys;
+      Pool.unmark t.pool req.Request.key;
       t.executed <- Key_map.remove req.Request.key t.executed)
     (Recovery.prune_delivered t.rcv ~upto:(upto - t.config.Config.checkpoint_interval));
   t.ctx.Context.emit (Context.Log_truncated { upto; retained = Hashtbl.length t.orders })
@@ -468,7 +466,7 @@ let rec advance_delivery t =
             && (t.config.Config.checkpoint_interval = 0 || Recovery.fresh_key t.rcv k))
           st.keys
       in
-      let requests = List.filter_map (fun k -> Key_map.find_opt k t.pending) fresh in
+      let requests = List.filter_map (Pool.find t.pool) fresh in
       if Int.equal (List.length requests) (List.length fresh) then begin
         t.delivered <- st.o;
         List.iter
@@ -476,11 +474,10 @@ let rec advance_delivery t =
             t.delivered_keys <- Key_set.add k t.delivered_keys;
             if t.config.Config.checkpoint_interval > 0 then
               Recovery.mark_delivered t.rcv k;
-            (match Key_map.find_opt k t.pending with
+            (match Pool.find t.pool k with
             | Some r -> t.executed <- Key_map.add k r t.executed
             | None -> ());
-            t.pending <- Key_map.remove k t.pending;
-            t.arrival <- Key_map.remove k t.arrival)
+            Pool.remove t.pool k)
           st.keys;
         let batch = Batch.make requests in
         t.ctx.Context.deliver ~seq:st.o batch;
@@ -559,7 +556,7 @@ let accept_order t (env : Message.envelope) ~v ~(info : Message.order_info) =
     close_endorse_span t st;
     open_order_span t st;
     if info.Message.keys = [] then st.null <- true;
-    List.iter (fun k -> t.ordered_keys <- Key_set.add k t.ordered_keys) info.Message.keys;
+    List.iter (Pool.mark_ordered t.pool) info.Message.keys;
     add_vote st ~digest:st.digest ~source:env.Message.sender
       ~signature:env.Message.signature;
     (match env.Message.endorsement with
@@ -594,7 +591,7 @@ module Lifecycle = Recovery.Lifecycle (struct
       (fun o st acc ->
         if o <= t.delivered || o <= base || not st.committed then acc
         else
-          let requests = List.filter_map (fun k -> Key_map.find_opt k t.pending) st.keys in
+          let requests = List.filter_map (Pool.find t.pool) st.keys in
           if Int.equal (List.length requests) (List.length st.keys) then
             Recovery.batch_entry t.ctx t.config.Config.digest ~o requests :: acc
           else acc)
@@ -610,11 +607,11 @@ module Lifecycle = Recovery.Lifecycle (struct
       st.committed <- true;
       List.iter
         (fun (r : Request.t) ->
-          t.ordered_keys <- Key_set.add r.Request.key t.ordered_keys;
+          Pool.mark_ordered t.pool r.Request.key;
           if
-            (not (Key_map.mem r.Request.key t.pending))
+            (not (Pool.mem t.pool r.Request.key))
             && not (Key_set.mem r.Request.key t.delivered_keys)
-          then t.pending <- Key_map.add r.Request.key r t.pending)
+          then Pool.add t.pool r)
         e.Checkpoint.e_requests;
       if st.o > t.max_committed then t.max_committed <- st.o
     end
@@ -910,7 +907,7 @@ and install_view t (env : Message.envelope) ~v ~start_o ~anchor ~new_back_log =
             st.keys <- info.Message.keys;
             st.vote_v <- v;
             if info.Message.keys = [] then st.null <- true;
-            List.iter (fun k -> t.ordered_keys <- Key_set.add k t.ordered_keys) info.Message.keys
+            List.iter (Pool.mark_ordered t.pool) info.Message.keys
           end
         end)
       new_back_log;
@@ -972,15 +969,12 @@ and arm_batch_timer t =
 
 and batch_tick t =
   if i_am_coordinator_primary t then begin
-    let pool = Key_map.filter (fun k _ -> not (Key_set.mem k t.ordered_keys)) t.pending in
-    if not (Key_map.is_empty pool) then issue_batch t pool;
+    if Pool.has_unordered t.pool then issue_batch t;
     arm_batch_timer t
   end
 
-and issue_batch t pool =
-  let requests =
-    Batch.take_oldest ~limit:t.config.Config.batch_size_limit ~pool ~arrival:t.arrival
-  in
+and issue_batch t =
+  let requests = Pool.take_oldest t.pool ~limit:t.config.Config.batch_size_limit in
   let batch = Batch.make requests in
   let o = t.next_seq in
   t.next_seq <- o + 1;
@@ -995,7 +989,7 @@ and issue_batch t pool =
     | _ -> digest
   in
   let keys = Batch.keys batch in
-  List.iter (fun k -> t.ordered_keys <- Key_set.add k t.ordered_keys) keys;
+  List.iter (Pool.mark_ordered t.pool) keys;
   let info = { Message.o; digest; keys } in
   t.ctx.Context.emit
     (Context.Batched
@@ -1059,7 +1053,7 @@ and shadow_validate_order t ~(info : Message.order_info) =
   else if info.Message.keys = [] then `Invalid
   else begin
     let lookup k =
-      match Key_map.find_opt k t.pending with
+      match Pool.find t.pool k with
       | Some r -> Some r
       | None -> Key_map.find_opt k t.executed
     in
@@ -1113,7 +1107,7 @@ and shadow_endorse t (env : Message.envelope) ~(info : Message.order_info) =
   t.shadow_watch_level <- 0;
   List.iter
     (fun k ->
-      t.ordered_keys <- Key_set.add k t.ordered_keys;
+      Pool.mark_ordered t.pool k;
       t.view_ordered_keys <- Key_set.add k t.view_ordered_keys)
     info.Message.keys;
   let endorsed = endorse t env in
@@ -1157,19 +1151,18 @@ and rearm_shadow_watch t =
   (match t.watch_timer with Some h -> h.Context.cancel () | None -> ());
   t.watch_timer <- None;
   if i_am_coordinator_shadow t then begin
-    let unordered =
-      Key_map.filter (fun k _ -> not (Key_set.mem k t.ordered_keys)) t.arrival
-    in
-    match Key_map.min_binding_opt unordered with
+    (* The lowest unordered key's arrival, as in SC: the watch can only fire
+       late, never falsely (see Pool.lowest_unordered_arrival). *)
+    match Pool.lowest_unordered_arrival t.pool with
     | None -> ()
-    | Some (_, oldest) ->
+    | Some since ->
       let budget =
         Simtime.add t.config.Config.batching_interval
           (budget_at t ~level:t.shadow_watch_level)
       in
       (* Progress-based, as in SC: a backlogged-but-ordering primary is
          timely. *)
-      let deadline = Simtime.add (Simtime.max oldest t.last_progress) budget in
+      let deadline = Simtime.add (Simtime.max since t.last_progress) budget in
       let now = t.ctx.Context.now () in
       let delay =
         if Simtime.compare deadline now <= 0 then Simtime.ns 1
@@ -1191,11 +1184,7 @@ and shadow_watch_fired t =
     let now = t.ctx.Context.now () in
     let stalled =
       Simtime.compare (Simtime.add t.last_progress budget) now <= 0
-      && Key_map.exists
-           (fun k since ->
-             (not (Key_set.mem k t.ordered_keys))
-             && Simtime.compare (Simtime.add since budget) now <= 0)
-           t.arrival
+      && Pool.overdue t.pool ~budget ~now
     in
     if not stalled then rearm_shadow_watch t
     else if can_back_off t ~level:t.shadow_watch_level then begin
@@ -1419,15 +1408,14 @@ and fail_signal_authentic t ~pair (env : Message.envelope) =
 
 let on_request t (req : Request.t) =
   let key = req.Request.key in
-  if (not (Key_set.mem key t.ordered_keys)) && not (Key_map.mem key t.pending) then begin
-    t.pending <- Key_map.add key req t.pending;
-    t.arrival <- Key_map.add key (t.ctx.Context.now ()) t.arrival;
+  if (not (Pool.is_ordered t.pool key)) && not (Pool.mem t.pool key) then begin
+    Pool.add t.pool ~arrival:(t.ctx.Context.now ()) req;
     if t.stashed_endorsements <> [] then retry_stashed t;
     if i_am_coordinator_shadow t && t.watch_timer = None then rearm_shadow_watch t;
     advance_delivery t
   end
-  else if not (Key_map.mem key t.pending) then begin
-    t.pending <- Key_map.add key req t.pending;
+  else if not (Pool.mem t.pool key) then begin
+    Pool.add t.pool req;
     advance_delivery t
   end
 
@@ -1469,9 +1457,7 @@ let create ~ctx ~config ?(fault = Fault.Honest) ?counterpart_fail_signal () =
     last_heard = Simtime.zero;
     heartbeat_timer = None;
     beat = 0;
-    pending = Key_map.empty;
-    arrival = Key_map.empty;
-    ordered_keys = Key_set.empty;
+    pool = Pool.create ();
     delivered_keys = Key_set.empty;
     view_ordered_keys = Key_set.empty;
     executed = Key_map.empty;

@@ -135,6 +135,132 @@ let test_batch_take_oldest_order () =
     Alcotest.(check int) "newer second" 5 second.Request.key.Request.client_seq
   | other -> Alcotest.failf "expected 2 requests, got %d" (List.length other)
 
+(* ----------------------------------------------------------------- Pool *)
+
+(* The pool against the parent's scans: a (pending, arrival, ordered) triple
+   mutated as the cores mutated it, with every query recomputed by filtering
+   the whole triple and calling the reference Batch takes.  One pool answers
+   every query after every step; a second answers one query only where a
+   [Query] op says so, so its indices are built from whatever state that
+   point reached and then kept up to date by the steps after it. *)
+type pool_op =
+  | Add of int * int * int option  (* key, op bytes, arrival in ms *)
+  | Mark of int
+  | Unmark of int
+  | Deliver of int
+  | Restamp of int
+  | Query of int  (* which check the second pool answers *)
+
+let pp_pool_op = function
+  | Add (k, n, a) ->
+    Printf.sprintf "add %d (%dB%s)" k n
+      (match a with Some ms -> Printf.sprintf ", at %dms" ms | None -> "")
+  | Mark k -> Printf.sprintf "mark %d" k
+  | Unmark k -> Printf.sprintf "unmark %d" k
+  | Deliver k -> Printf.sprintf "deliver %d" k
+  | Restamp ms -> Printf.sprintf "restamp %dms" ms
+  | Query q -> Printf.sprintf "query %d" q
+
+let pool_checks = 6
+
+(* Few keys and few instants, so keys collide and arrivals tie; op sizes
+   straddle the 1 KB cap. *)
+let gen_pool_op =
+  QCheck.Gen.(
+    let key = int_bound 11 and ms = int_bound 4 in
+    frequency
+      [
+        ( 4,
+          map3
+            (fun k n a -> Add (k, n, a))
+            key
+            (oneofl [ 1; 40; 300; 700; 1500 ])
+            (opt ~ratio:0.8 ms) );
+        (3, map (fun k -> Mark k) key);
+        (1, map (fun k -> Unmark k) key);
+        (2, map (fun k -> Deliver k) key);
+        (1, map (fun ms -> Restamp ms) ms);
+        (2, map (fun q -> Query q) (int_bound (pool_checks - 1)));
+      ])
+
+let prop_pool_matches_scans =
+  let module M = Request.Key_map in
+  let module S = Request.Key_set in
+  let limit = 1024 in
+  let budget = Simtime.ms 2 in
+  let key i = { Request.client = i mod 3; client_seq = i } in
+  QCheck.Test.make ~name:"pool matches the filtering scans" ~count:300
+    (QCheck.make ~shrink:QCheck.Shrink.list
+       ~print:(fun ops -> String.concat "; " (List.map pp_pool_op ops))
+       QCheck.Gen.(list_size (0 -- 60) gen_pool_op))
+    (fun ops ->
+      let eager = P.Pool.create () and lazy_ = P.Pool.create () in
+      let both f = f eager; f lazy_ in
+      let pending = ref M.empty and arrival = ref M.empty and ordered = ref S.empty in
+      let unordered m = M.filter (fun k _ -> not (S.mem k !ordered)) m in
+      let check pool = function
+        | 0 ->
+          P.Pool.size pool = M.cardinal !pending
+          && P.Pool.has_unordered pool = not (M.is_empty (unordered !pending))
+        | 1 ->
+          P.Pool.take_oldest pool ~limit
+          = Batch.take_oldest ~limit ~pool:(unordered !pending) ~arrival:!arrival
+        | 2 -> P.Pool.take_by_key pool ~limit = Batch.take_from_pool ~limit ~pool:(unordered !pending)
+        | 3 ->
+          P.Pool.lowest_unordered_arrival pool
+          = Option.map snd (M.min_binding_opt (unordered !arrival))
+        | 4 ->
+          P.Pool.oldest_unordered_arrival pool
+          = M.fold
+              (fun _ at acc ->
+                match acc with
+                | Some a when Simtime.compare a at <= 0 -> acc
+                | Some _ | None -> Some at)
+              (unordered !arrival) None
+        | _ ->
+          List.for_all
+            (fun now ->
+              P.Pool.overdue pool ~budget ~now
+              = M.exists
+                  (fun k since ->
+                    (not (S.mem k !ordered))
+                    && Simtime.compare (Simtime.add since budget) now <= 0)
+                  !arrival)
+            (List.init 8 Simtime.ms)
+      in
+      let step = function
+        | Add (i, n, at) ->
+          let r = Request.make ~client:(i mod 3) ~client_seq:i ~op:(String.make n 'x') in
+          if not (M.mem r.Request.key !pending) then begin
+            pending := M.add r.Request.key r !pending;
+            let at = Option.map Simtime.ms at in
+            Option.iter (fun at -> arrival := M.add r.Request.key at !arrival) at;
+            both (fun pool -> P.Pool.add ?arrival:at pool r)
+          end;
+          true
+        | Mark i ->
+          ordered := S.add (key i) !ordered;
+          both (fun pool -> P.Pool.mark_ordered pool (key i));
+          true
+        | Unmark i ->
+          ordered := S.remove (key i) !ordered;
+          both (fun pool -> P.Pool.unmark pool (key i));
+          true
+        | Deliver i ->
+          pending := M.remove (key i) !pending;
+          arrival := M.remove (key i) !arrival;
+          both (fun pool -> P.Pool.remove pool (key i));
+          true
+        | Restamp ms ->
+          arrival := M.map (fun _ -> Simtime.ms ms) !arrival;
+          both (fun pool -> P.Pool.restamp pool (Simtime.ms ms));
+          true
+        | Query q -> check lazy_ q
+      in
+      List.for_all
+        (fun op -> step op && List.for_all (check eager) (List.init pool_checks Fun.id))
+        ops)
+
 (* -------------------------------------------------------------- Message *)
 
 let sample_info = { Message.o = 7; digest = "0123456789abcdef"; keys = [ { Request.client = 1; client_seq = 2 } ] }
@@ -266,6 +392,7 @@ let suite =
         Alcotest.test_case "take at least one" `Quick test_batch_take_at_least_one;
         Alcotest.test_case "take oldest order" `Quick test_batch_take_oldest_order;
       ] );
+    ("protocol.pool", [ QCheck_alcotest.to_alcotest prop_pool_matches_scans ]);
     ( "protocol.message",
       [
         Alcotest.test_case "body roundtrip all variants" `Quick

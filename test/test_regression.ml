@@ -80,8 +80,36 @@ let restart_case ?auth ~kind ~proto seed =
     `Slow
     (check_restart_campaign ?auth ~kind ~seed)
 
+(* Host allocation per simulated event must not grow with the backlog.
+   SC/SCR at 400 req/s run three times past their batch ceiling, so the
+   pending pool grows for as long as the load lasts; a core that re-scans
+   that pool on every batch or watchdog tick allocates more per event the
+   longer the load.  A ratio of two load lengths, unlike an absolute count,
+   holds across compiler versions. *)
+let minor_words_per_event ~kind ~load =
+  let cluster = H.Cluster.build (H.Cluster.default_spec ~kind ~f:1) in
+  H.Workload.install cluster (H.Workload.make ~rate_per_sec:400.0 ()) ~duration:load;
+  let before = Gc.minor_words () in
+  H.Cluster.run cluster ~until:load;
+  let words = Gc.minor_words () -. before in
+  words /. float_of_int (Sof_sim.Engine.events_fired (H.Cluster.engine cluster))
+
+let test_allocation_independent_of_backlog kind () =
+  let short = minor_words_per_event ~kind ~load:(Simtime.sec 2) in
+  let long = minor_words_per_event ~kind ~load:(Simtime.sec 12) in
+  if long /. short > 1.25 then
+    Alcotest.failf "minor words per event grew %.2fx (2 s load %.0f, 12 s load %.0f; bound 1.25x)"
+      (long /. short) short long
+
 let suite =
   [
+    ( "regression.backlog",
+      [
+        Alcotest.test_case "sc allocation per event independent of backlog" `Slow
+          (test_allocation_independent_of_backlog H.Cluster.Sc_protocol);
+        Alcotest.test_case "scr allocation per event independent of backlog" `Slow
+          (test_allocation_independent_of_backlog H.Cluster.Scr_protocol);
+      ] );
     ( "regression.chaos",
       List.map
         (case ~kind:H.Cluster.Ct_protocol ~byz:true ~proto:"ct")
