@@ -30,6 +30,7 @@ let analyze cluster ~warmup ~window =
   let first_commit : (int, Simtime.t) Hashtbl.t = Hashtbl.create 256 in
   let reference = reference_process cluster in
   let delivered_reqs = ref 0 in
+  let delivered_batches = ref 0 in
   let first_fail_signal = ref None in
   let first_install = ref None in
   List.iter
@@ -40,8 +41,11 @@ let analyze cluster ~warmup ~window =
       | P.Context.Committed { seq; _ } ->
         if not (Hashtbl.mem first_commit seq) then Hashtbl.replace first_commit seq at
       | P.Context.Delivered { seq = _; batch } ->
-        if who = reference && in_window at then
-          delivered_reqs := !delivered_reqs + P.Batch.request_count batch
+        let requests = P.Batch.request_count batch in
+        if who = reference && in_window at && requests > 0 then begin
+          delivered_reqs := !delivered_reqs + requests;
+          incr delivered_batches
+        end
       | P.Context.Fail_signal_emitted _ ->
         if !first_fail_signal = None then first_fail_signal := Some at
       | P.Context.Coordinator_installed _ | P.Context.View_installed _ ->
@@ -56,16 +60,13 @@ let analyze cluster ~warmup ~window =
         ())
     events;
   let latencies = Statistics.create () in
-  let requests_counted = ref 0 in
   Hashtbl.iter
     (fun seq batched_at ->
-      if in_window batched_at then begin
+      if in_window batched_at then
         match Hashtbl.find_opt first_commit seq with
         | Some committed_at when Simtime.compare committed_at batched_at >= 0 ->
           Statistics.add latencies (Simtime.to_ms (Simtime.diff committed_at batched_at))
-        | Some _ | None -> ()
-      end;
-      ignore !requests_counted)
+        | Some _ | None -> ())
     batch_time;
   let stats = Sof_net.Network.stats (Cluster.network cluster) in
   let failover_ms =
@@ -79,7 +80,7 @@ let analyze cluster ~warmup ~window =
       (if Statistics.count latencies = 0 then None
        else Some (Statistics.summarize latencies));
     throughput_rps = float_of_int !delivered_reqs /. Simtime.to_sec window;
-    batches = Statistics.count latencies;
+    batches = !delivered_batches;
     committed_requests = !delivered_reqs;
     messages_sent = stats.Sof_net.Network.messages_sent;
     bytes_sent = stats.Sof_net.Network.bytes_sent;

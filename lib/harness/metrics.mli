@@ -14,7 +14,10 @@ type point = {
       (** Per-batch order latency in milliseconds; [None] when no batch
           committed inside the measurement window. *)
   throughput_rps : float;
-  batches : int;  (** Batches whose latency was measured. *)
+  batches : int;
+      (** Non-empty batches the reference replica delivered inside the
+          window: the population [throughput_rps] counts the requests of.
+          The latency population is [latency]'s [n]. *)
   committed_requests : int;
   messages_sent : int;
   bytes_sent : int;

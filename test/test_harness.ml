@@ -216,6 +216,30 @@ let test_metrics_latency_positive_and_bounded () =
     Alcotest.(check bool) "p95 >= p50" true
       (l.Sof_util.Statistics.p95 >= l.Sof_util.Statistics.p50)
 
+(* Under overload no batch created inside the window may commit inside it,
+   yet the reference replica still delivers: [batches] must count the same
+   delivered population as [throughput_rps] ("3.2 req/s over 0 batches"
+   was the old report). *)
+let test_metrics_batches_match_deliveries () =
+  List.iter
+    (fun kind ->
+      let spec =
+        {
+          (Cluster.default_spec ~kind ~f:1) with
+          Cluster.pair_delay_estimate = sec 30;
+          heartbeat_interval = sec 3600;
+        }
+      in
+      let cluster = Cluster.build spec in
+      H.Workload.install cluster (H.Workload.make ~rate_per_sec:1000.0 ()) ~duration:(sec 3);
+      Cluster.run cluster ~until:(sec 4);
+      let p = H.Metrics.analyze cluster ~warmup:(sec 1) ~window:(sec 2) in
+      Alcotest.(check bool) "requests delivered" true (p.H.Metrics.committed_requests > 0);
+      Alcotest.(check bool) "batches counted" true (p.H.Metrics.batches > 0);
+      Alcotest.(check bool) "no more batches than requests" true
+        (p.H.Metrics.batches <= p.H.Metrics.committed_requests))
+    [ Cluster.Sc_protocol; Cluster.Bft_protocol ]
+
 let test_metrics_no_failover_in_failfree () =
   let cluster = Cluster.build (Cluster.default_spec ~kind:Cluster.Sc_protocol ~f:1) in
   H.Workload.install cluster (H.Workload.make ~rate_per_sec:50.0 ()) ~duration:(sec 1);
@@ -313,6 +337,8 @@ let suite =
     ( "harness.metrics",
       [
         Alcotest.test_case "latency sane" `Quick test_metrics_latency_positive_and_bounded;
+        Alcotest.test_case "batches count deliveries" `Quick
+          test_metrics_batches_match_deliveries;
         Alcotest.test_case "no failover fail-free" `Quick test_metrics_no_failover_in_failfree;
       ] );
     ( "harness.experiments",
