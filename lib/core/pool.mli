@@ -7,7 +7,7 @@
     cap) the pending backlog grows without bound, so "what is still
     unordered" cannot be re-derived by scanning it on every batch and every
     watchdog tick.  The pool therefore also keeps two indices of the
-    {e unordered} pending requests, updated on every mutation:
+    {e unordered} pending requests:
 
     - in key order, for BFT/CT's deterministic key-order batches;
     - in [(arrival, key)] order, for SC/SCR's oldest-first batches and for
