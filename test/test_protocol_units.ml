@@ -137,7 +137,7 @@ let test_batch_take_oldest_order () =
 
 (* ----------------------------------------------------------------- Pool *)
 
-(* The pool against the parent's scans: a (pending, arrival, ordered) triple
+(* The pool against the scans it replaced: a (pending, arrival, ordered) triple
    mutated as the cores mutated it, with every query recomputed by filtering
    the whole triple and calling the reference Batch takes.  One pool answers
    every query after every step; a second answers one query only where a
