@@ -886,7 +886,11 @@ and handle_new_view_proposal t (env : Message.envelope) ~v ~start_o ~anchor
   else emit_fail_signal t ~value_domain:true
 
 and install_view t (env : Message.envelope) ~v ~start_o ~anchor ~new_back_log =
-  if v >= t.target_view || v > t.view then begin
+  (* PBFT's rule: never install below the view this process is changing to.
+     A late NewView(v) after proposing v+1 would ack its start placeholder,
+     and NewView(v+1) may reuse that start sequence with another digest;
+     one ack per sequence then leaves it short of n-f votes. *)
+  if v >= t.target_view then begin
     t.view <- v;
     t.changing_view <- false;
     t.target_view <- v;

@@ -381,6 +381,47 @@ let test_scr_unwilling_pair_skipped () =
     >= 1);
   Alcotest.(check bool) "kept delivering" true (min_delivered seqs [ 2; 3; 4 ] > 10)
 
+(* A NewView for a view below the one this process is changing to must
+   not install.  Installing it acks its start placeholder; when the next
+   NewView reuses that start sequence with another digest, the ack is
+   never re-sent (an honest process acks one digest per sequence), so that
+   sequence cannot gather n-f votes and delivery stops.  Two seeded runs
+   that reached this state: a spurious fail-signal under adaptive timing,
+   and a value fault followed by a spamming Unwilling pair. *)
+let late_new_view_run ~f ~timing ~faults =
+  let spec =
+    { (Cluster.default_spec ~kind:Cluster.Scr_protocol ~f) with Cluster.faults; timing }
+  in
+  let cluster = Cluster.build spec in
+  Workload.install cluster (Workload.make ~rate_per_sec:200.0 ()) ~duration:(sec 3);
+  Cluster.run cluster ~until:(sec 6);
+  cluster
+
+(* Every process delivers up to the highest sequence committed anywhere. *)
+let check_everyone_delivered cluster =
+  let top =
+    List.fold_left
+      (fun acc (_, _, e) ->
+        match e with P.Context.Committed { seq; _ } -> max acc seq | _ -> acc)
+      0 (Cluster.events cluster)
+  in
+  Alcotest.(check bool) "something committed" true (top > 0);
+  for who = 0 to Cluster.process_count cluster - 1 do
+    Alcotest.(check int) (Printf.sprintf "process %d delivered" who) top
+      (Cluster.delivered_seq cluster who)
+  done;
+  ignore (check_total_order cluster)
+
+let test_scr_late_new_view_spurious () =
+  check_everyone_delivered
+    (late_new_view_run ~f:1 ~timing:P.Config.Adaptive
+       ~faults:[ (3, P.Fault.Spurious_fail_signal_at (sec 1)) ])
+
+let test_scr_late_new_view_unwilling () =
+  check_everyone_delivered
+    (late_new_view_run ~f:2 ~timing:P.Config.Static
+       ~faults:[ (0, P.Fault.Corrupt_digest_at 5); (1, P.Fault.Unwilling_spam) ])
+
 (* --------------------------------------------------------------- BFT *)
 
 let bft_spec ?(f = 1) ?(interval = ms 50) ?(faults = []) () =
@@ -527,6 +568,10 @@ let suite =
         Alcotest.test_case "mute primary view change" `Quick test_scr_mute_primary_view_change;
         Alcotest.test_case "surge suspicion and recovery" `Quick test_scr_surge_false_suspicion_recovers;
         Alcotest.test_case "unwilling pair skipped" `Quick test_scr_unwilling_pair_skipped;
+        Alcotest.test_case "late NewView after spurious signal" `Quick
+          test_scr_late_new_view_spurious;
+        Alcotest.test_case "late NewView under Unwilling spam" `Quick
+          test_scr_late_new_view_unwilling;
       ] );
     ( "protocol.bft",
       [
