@@ -1701,10 +1701,11 @@ let on_request t (req : Request.t) =
     if i_am_coordinator_shadow t && t.watch_timer = None then rearm_shadow_watch t;
     advance_delivery t
   end
-  else if Pool.mem t.pool key then ()
-  else
-    (* Already ordered; keep the body so delivery can complete. *)
-    Pool.add t.pool req
+  else if not (Pool.mem t.pool key) then begin
+    (* Already ordered: the body may be what a committed order waits on. *)
+    Pool.add t.pool req;
+    advance_delivery t
+  end
 
 let start t =
   if Option.is_some t.pair_rank then arm_heartbeat t;

@@ -422,6 +422,33 @@ let test_scr_late_new_view_unwilling () =
     (late_new_view_run ~f:2 ~timing:P.Config.Static
        ~faults:[ (0, P.Fault.Corrupt_digest_at 5); (1, P.Fault.Unwilling_spam) ])
 
+(* A request body that reaches a process after the order naming it has
+   committed there must restart delivery.  Clients broadcast, so the
+   simulator hands a request to every CPU queue at once and never takes
+   this path; over TCP, client frames race the orders.  Process 2 gets the
+   body only after seq 1 committed. *)
+let test_late_body_restarts_delivery kind () =
+  let cluster = Cluster.build (Cluster.default_spec ~kind ~f:1) in
+  let req =
+    Workload.make_request (Sof_util.Rng.create 7L) ~client:0 ~client_seq:1 ~op_bytes:16
+  in
+  let give who =
+    match Cluster.proc cluster who with
+    | Cluster.Sc p -> P.Sc.on_request p req
+    | Cluster.Scr p -> P.Scr.on_request p req
+    | Cluster.Bft _ | Cluster.Ct _ -> Alcotest.fail "pair protocols only"
+  in
+  List.iter give (List.filter (fun p -> p <> 2) (List.init (Cluster.process_count cluster) Fun.id));
+  Cluster.run cluster ~until:(sec 1);
+  Alcotest.(check bool) "seq 1 committed at process 2" true
+    (List.exists
+       (fun (_, who, e) ->
+         who = 2 && match e with P.Context.Committed { seq; _ } -> seq = 1 | _ -> false)
+       (Cluster.events cluster));
+  Alcotest.(check int) "nothing delivered without the body" 0 (Cluster.delivered_seq cluster 2);
+  give 2;
+  Alcotest.(check int) "the late body delivers seq 1" 1 (Cluster.delivered_seq cluster 2)
+
 (* --------------------------------------------------------------- BFT *)
 
 let bft_spec ?(f = 1) ?(interval = ms 50) ?(faults = []) () =
@@ -560,6 +587,8 @@ let suite =
         Alcotest.test_case "three sequential failures (f=3)" `Quick
           test_sc_three_sequential_failures_f3;
         Alcotest.test_case "create validation" `Quick test_sc_create_validation;
+        Alcotest.test_case "late request body delivers" `Quick
+          (test_late_body_restarts_delivery Cluster.Sc_protocol);
       ] );
     ( "protocol.scr",
       [
@@ -572,6 +601,8 @@ let suite =
           test_scr_late_new_view_spurious;
         Alcotest.test_case "late NewView under Unwilling spam" `Quick
           test_scr_late_new_view_unwilling;
+        Alcotest.test_case "late request body delivers" `Quick
+          (test_late_body_restarts_delivery Cluster.Scr_protocol);
       ] );
     ( "protocol.bft",
       [
