@@ -437,6 +437,104 @@ let test_backlog_trajectories_pinned () =
         (trajectory_digest (backlog_run ~kind ~crash)))
     pinned_backlog_trajectories
 
+(* Fault-path pins: the pair machinery's failure handling under each
+   injected fault, on the default layout at 200 req/s for 3 s, run to 6 s
+   (the adaptive mute runs to 20 s, past the backed-off budgets).  Each run
+   must also reach its path — the expected fail-signal domain, a coordinator
+   replacement, and under SCR a pair recovery (the member that joined its
+   counterpart's signal is only suspected, and comes back up) — so no pin
+   can pass on a run where nothing failed.  The last two are SCR runs whose late
+   NewView once stalled delivery. *)
+type fault_pin = {
+  fp_kind : Cluster.kind;
+  fp_f : int;
+  fp_faults : (int * P.Fault.t) list;
+  fp_adaptive : bool;
+  fp_dumb : bool;
+  fp_value_domain : bool;  (** the domain of the first fail-signal *)
+  fp_digest : string;
+}
+
+let fault_pin ?(f = 1) ?(adaptive = false) ?(dumb = true) kind faults
+    ~value_domain digest =
+  {
+    fp_kind = kind;
+    fp_f = f;
+    fp_faults = faults;
+    fp_adaptive = adaptive;
+    fp_dumb = dumb;
+    fp_value_domain = value_domain;
+    fp_digest = digest;
+  }
+
+let pinned_fault_paths =
+  let sc = Cluster.Sc_protocol and scr = Cluster.Scr_protocol in
+  let corrupt = [ (0, P.Fault.Corrupt_digest_at 5) ] in
+  let equivocate = [ (0, P.Fault.Equivocate_at 5) ] in
+  let drop = [ (3, P.Fault.Drop_endorsements) ] in
+  let spurious = [ (3, P.Fault.Spurious_fail_signal_at (sec 1)) ] in
+  let mute = [ (3, P.Fault.Mute_at (sec 1)) ] in
+  [
+    fault_pin sc corrupt ~value_domain:true "b847d391136da0a0c4e24f94f75b6c6d";
+    fault_pin sc equivocate ~value_domain:true "1b573c71b22f5db34822c517c6e798a1";
+    fault_pin sc drop ~value_domain:false "804949289af8c3305bf0bc52bfa465e1";
+    fault_pin sc spurious ~value_domain:false "214e447113e537b5796610f39a80cb43";
+    fault_pin sc mute ~adaptive:true ~value_domain:false "11ddfbce3061943b3d79da50b78866b8";
+    fault_pin sc corrupt ~f:2 ~value_domain:true "1f3b0c9ed65014734a2d1e39c9b2d6b3";
+    fault_pin sc corrupt ~f:2 ~dumb:false ~value_domain:true
+      "d2a306a518e2334ca94c37135b9ca2d2";
+    fault_pin scr corrupt ~value_domain:true "89d21a7cefd0cdd466fda00c55076855";
+    fault_pin scr equivocate ~value_domain:true "bdda1e419fc0dd9a686e83521aa3aa05";
+    fault_pin scr drop ~value_domain:false "7ad6c4522fbbe00fd15da25242a7f390";
+    fault_pin scr mute ~value_domain:false "6a90778d36a0f703a15d4e9de8511d86";
+    fault_pin scr mute ~adaptive:true ~value_domain:false "e6f12439ceeaa849122cf7dafaa7ab8f";
+    fault_pin scr spurious ~adaptive:true ~value_domain:false
+      "f6e54c4db657dc7e372029638682e431";
+    fault_pin scr ~f:2
+      (corrupt @ [ (1, P.Fault.Unwilling_spam) ])
+      ~value_domain:true "7672705c6c0e276bc8467658d81b8d45";
+  ]
+
+let fault_path_run pin =
+  let spec =
+    {
+      (Cluster.default_spec ~kind:pin.fp_kind ~f:pin.fp_f) with
+      Cluster.faults = pin.fp_faults;
+      timing = (if pin.fp_adaptive then P.Config.Adaptive else P.Config.Static);
+      dumb_optimization = pin.fp_dumb;
+    }
+  in
+  let cluster = Cluster.build spec in
+  Workload.install cluster (Workload.make ~rate_per_sec:200.0 ()) ~duration:(sec 3);
+  let mute = List.exists (function _, P.Fault.Mute_at _ -> true | _ -> false) pin.fp_faults in
+  Cluster.run cluster ~until:(sec (if pin.fp_adaptive && mute then 20 else 6));
+  cluster
+
+let test_fault_paths_pinned () =
+  List.iteri
+    (fun i pin ->
+      let cluster = fault_path_run pin in
+      let name what = Printf.sprintf "%s fault path %d: %s" (kind_name pin.fp_kind) i what in
+      let first_domain =
+        List.find_map
+          (fun (_, _, e) ->
+            match e with
+            | P.Context.Fail_signal_emitted { value_domain; _ } -> Some value_domain
+            | _ -> None)
+          (Cluster.events cluster)
+      in
+      Alcotest.(check (option bool)) (name "fail-signal domain") (Some pin.fp_value_domain)
+        first_domain;
+      Alcotest.(check bool) (name "coordinator replaced") true
+        (count_events cluster (function
+           | P.Context.Coordinator_installed _ | P.Context.View_installed _ -> true
+           | _ -> false)
+        >= 1);
+      Alcotest.(check bool) (name "pair recovered") (pin.fp_kind = Cluster.Scr_protocol)
+        (count_events cluster (function P.Context.Pair_recovered _ -> true | _ -> false) >= 1);
+      Alcotest.(check string) (name "trajectory") pin.fp_digest (trajectory_digest cluster))
+    pinned_fault_paths
+
 (* Log truncation bounds memory: with checkpointing on, the retained order
    log never grows past a small multiple of the interval. *)
 let test_truncation_bounds_log () =
@@ -488,6 +586,7 @@ let suite =
           test_trajectories_pinned;
         Alcotest.test_case "backlog trajectories pinned" `Slow
           test_backlog_trajectories_pinned;
+        Alcotest.test_case "fault-path trajectories pinned" `Quick test_fault_paths_pinned;
       ]
       @ lifecycle_cases );
   ]
