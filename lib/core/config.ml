@@ -97,7 +97,16 @@ let candidate_members t r =
 
 let all_processes t = List.init (process_count t) Fun.id
 
+let variant_name = function SC -> "SC" | SCR -> "SCR"
+
+let require_variant t v ~caller =
+  let same = match (t.variant, v) with SC, SC | SCR, SCR -> true | SC, SCR | SCR, SC -> false in
+  if not same then
+    raise
+      (Invalid_config
+         (Printf.sprintf "%s: config must use the %s variant" caller (variant_name v)))
+
 let pp fmt t =
   Format.fprintf fmt "%s(f=%d, n=%d, interval=%a, batch<=%dB)"
-    (match t.variant with SC -> "SC" | SCR -> "SCR")
+    (variant_name t.variant)
     t.f (process_count t) Simtime.pp t.batching_interval t.batch_size_limit

@@ -125,4 +125,9 @@ val candidate_members : t -> int -> int list
 val candidate_is_pair : t -> int -> bool
 
 val all_processes : t -> int list
+
+val require_variant : t -> variant -> caller:string -> unit
+(** @raise Invalid_config unless the config uses the given variant; the
+    message names [caller]. *)
+
 val pp : Format.formatter -> t -> unit
