@@ -37,7 +37,9 @@ val create :
   t
 (** [counterpart_fail_signal] is the fail-signal signature this process's
     pair counterpart produced at system initialisation (Section 3.2); it must
-    be given for paired processes and omitted for unpaired ones. *)
+    be given for paired processes and omitted for unpaired ones.
+    @raise Config.Invalid_config when it is not, or when [config.variant]
+    is not {!Config.SC}. *)
 
 val start : t -> unit
 (** Arm timers (batching at the initial coordinator primary, pair

@@ -32,8 +32,8 @@ val create :
   unit ->
   t
 (** [config.variant] must be {!Config.SCR}.
-    @raise Invalid_argument otherwise, or when a paired process lacks
-    [counterpart_fail_signal]. *)
+    @raise Config.Invalid_config otherwise, when a paired process lacks
+    [counterpart_fail_signal], or when an unpaired one holds it. *)
 
 val start : t -> unit
 val on_request : t -> Sof_smr.Request.t -> unit

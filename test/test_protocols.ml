@@ -293,7 +293,16 @@ let test_sc_create_validation () =
   let ctx2 = { ctx with P.Context.id = 1 } in
   Alcotest.check_raises "unpaired process cannot hold one"
     (P.Config.Invalid_config "Sc.create: unpaired process cannot hold a fail-signal")
-    (fun () -> ignore (P.Sc.create ~ctx:ctx2 ~config ~counterpart_fail_signal:"x" ()))
+    (fun () -> ignore (P.Sc.create ~ctx:ctx2 ~config ~counterpart_fail_signal:"x" ()));
+  (* Each core refuses the other variant's layout: SCR has one pair more,
+     so an SC core on it would misread every rank past the first. *)
+  let scr_config = P.Config.make ~variant:P.Config.SCR ~f:1 () in
+  Alcotest.check_raises "SC core on an SCR config"
+    (P.Config.Invalid_config "Sc.create: config must use the SC variant")
+    (fun () -> ignore (P.Sc.create ~ctx:ctx2 ~config:scr_config ()));
+  Alcotest.check_raises "SCR core on an SC config"
+    (P.Config.Invalid_config "Scr.create: config must use the SCR variant")
+    (fun () -> ignore (P.Scr.create ~ctx:ctx2 ~config ()))
 
 (* --------------------------------------------------------------- SCR *)
 
