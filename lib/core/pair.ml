@@ -1291,6 +1291,8 @@ let start p =
 
 (* ------------------------------------------------------------- creation *)
 
+(* Stands in between [create] and [attach]: the core's closures need the
+   core's record, which holds this one. *)
 let detached =
   {
     era = (fun () -> 1);

@@ -180,10 +180,6 @@ val on_message : t -> src:int -> Message.envelope -> unit
 (** {1 Queries} *)
 
 val id : t -> int
-val is_primary : t -> bool
-(** Coordinator primary of the current era, not replacing, pair up. *)
-
-val is_shadow : t -> bool
 val log_length : t -> int
 val stable_checkpoint_seq : t -> int
 val latest_stable : t -> (Checkpoint.cert * string) option
